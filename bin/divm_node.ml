@@ -7,13 +7,26 @@
 
    The worker connects to the coordinator's Unix domain socket,
    identifies itself with a Hello frame, receives the marshaled
-   distributed program, and then serves Load_batch / Run_block /
-   Pull_map / Deliver / Clear_map requests until Shutdown (see
-   Protocol). Under the default mesh topology the coordinator also
-   sends Peers / Mesh_connect (establishing direct worker-to-worker
-   sockets) and drives each transfer with a Shuffle request, whose
-   payload bytes travel peer-to-peer as Mesh_data frames instead of
-   through the coordinator. It never parses queries or opens data
+   distributed program (Init), derives the same hoisting plan as the
+   coordinator from it, and then serves requests until Shutdown (see
+   Protocol):
+
+     Stage          run one distributed block (loading the batch share
+                    that rides on a batch's first stage), then every
+                    transfer the plan hoists behind it; one Stage_done
+                    reply carries the op count, one stat per hoisted
+                    mesh transfer and the hoisted gathers' contents
+     Pull_map       ship a map partition (star-path sources, reads)
+     Deliver        replace a transient with a star-path delivery
+     Start_telemetry / Pull_telemetry
+                    arm and drain the worker's metrics, profile, spans
+     Peers / Mesh_connect
+                    bind and wire the worker-to-worker mesh; a stage's
+                    hoisted mesh transfers then travel peer-to-peer as
+                    one Mesh_data frame per peer, never through the
+                    coordinator
+
+   It never parses queries or opens data
    files itself — everything arrives over the wire. *)
 
 let usage () =

@@ -107,21 +107,6 @@ let compute_prog (t : t) =
   in
   { t.base with Prog.triggers = triggers }
 
-let transfers (t : t) =
-  Array.of_list
-    (List.concat_map
-       (fun tr ->
-         List.concat_map
-           (fun b ->
-             List.filter_map
-               (function
-                 | Transfer { tname; key; source; _ } ->
-                     Some (tname, key, source)
-                 | Compute _ -> None)
-               b.bstmts)
-           tr.blocks)
-       t.dtriggers)
-
 let block_counts tr =
   List.fold_left
     (fun (l, d) b -> match b.bmode with MLocal -> (l + 1, d) | MDist -> (l, d + 1))

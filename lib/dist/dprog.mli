@@ -58,13 +58,6 @@ val find_trigger : t -> string -> dtrigger
 val pp_dstmt : Loc.catalog -> Format.formatter -> dstmt -> unit
 val pp : Format.formatter -> t -> unit
 
-(** Every [Transfer] statement's [(tname, key, source)] in deterministic
-    program order — triggers, then blocks, then statements. Two parties
-    holding the same (e.g. marshaled-and-restored) program derive the
-    identical table, so a transfer can travel over a wire as a single
-    index into it (the multiprocess engine's [Shuffle] control frame). *)
-val transfers : t -> (string * int array * string) array
-
 (** Count of blocks per mode across one trigger: (local, distributed). *)
 val block_counts : dtrigger -> int * int
 

@@ -28,11 +28,13 @@ let config ?(backend = Local) ?domains ?(batch_size = 1000) ?(opt_level = 3)
 let default_config = config ()
 
 type report = {
+  relation : string;
   tuples : int;
   ops : int;
   wall : float;
   modeled : float option;
   stages : int;
+  round_trips : int;
   bytes_shuffled : int;
   wire_bytes : int;
   stage_stats : Node.stage_stat list;
@@ -88,11 +90,13 @@ let apply_batch t ~rel batch =
   | ILocal rt ->
       let r = Runtime.apply_batch rt ~rel batch in
       {
+        relation = rel;
         tuples = r.Runtime.tuples;
         ops = r.Runtime.ops;
         wall = r.Runtime.wall;
         modeled = None;
         stages = 0;
+        round_trips = 0;
         bytes_shuffled = 0;
         wire_bytes = 0;
         stage_stats = [];
@@ -101,11 +105,13 @@ let apply_batch t ~rel batch =
       let t0 = Unix.gettimeofday () in
       let m = Cluster.apply_batch c ~rel batch in
       {
+        relation = rel;
         tuples = Gmr.cardinal batch;
         ops = m.Cluster.driver_ops + m.Cluster.max_worker_ops;
         wall = Unix.gettimeofday () -. t0;
         modeled = Some m.Cluster.latency;
         stages = m.Cluster.stages;
+        round_trips = 0;
         bytes_shuffled = m.Cluster.bytes_shuffled;
         wire_bytes = 0;
         stage_stats = [];
@@ -113,11 +119,13 @@ let apply_batch t ~rel batch =
   | IProc n ->
       let m = Node.apply_batch n ~rel batch in
       {
+        relation = rel;
         tuples = Gmr.cardinal batch;
         ops = m.Node.driver_ops + m.Node.max_worker_ops;
         wall = m.Node.wall;
         modeled = Some m.Node.latency;
         stages = m.Node.stages;
+        round_trips = m.Node.round_trips;
         bytes_shuffled = m.Node.bytes_shuffled;
         wire_bytes = m.Node.wire_bytes;
         stage_stats = m.Node.stage_stats;
@@ -128,11 +136,13 @@ let apply_single t ~rel tup m =
   | ILocal rt ->
       let r = Runtime.apply_single rt ~rel tup m in
       {
+        relation = rel;
         tuples = r.Runtime.tuples;
         ops = r.Runtime.ops;
         wall = r.Runtime.wall;
         modeled = None;
         stages = 0;
+        round_trips = 0;
         bytes_shuffled = 0;
         wire_bytes = 0;
         stage_stats = [];
@@ -171,7 +181,8 @@ let storage_stats t =
 let shutdown t = match t.impl with IProc n -> Node.shutdown n | _ -> ()
 
 (* Reconciliation artifact: per stage name, how the predictor did against
-   the measurement, summed over the batches. Distributed stages also
+   the measurement, summed over the batches; per trigger relation, the
+   whole batches with their stage and round-trip counts. Distributed stages also
    aggregate the workers' self-measured walls, attributing the slowest
    worker and its straggler ratio (max/median over the summed walls);
    mesh transfers additionally aggregate per-link wire bytes. *)
@@ -184,35 +195,51 @@ type srow = {
   mutable rpwb : int;
   mutable rws : float array;
   rlinks : (int * int, int ref) Hashtbl.t;
+  mutable rstages : int;
+  mutable rrt : int;
 }
 
 let reconcile_json reports =
   let order = ref [] in
   let tbl = Hashtbl.create 16 in
+  let row_of name =
+    match Hashtbl.find_opt tbl name with
+    | Some row -> row
+    | None ->
+        let row =
+          {
+            rn = 0;
+            rp = 0.;
+            rm = 0.;
+            rb = 0;
+            rwb = 0;
+            rpwb = 0;
+            rws = [||];
+            rlinks = Hashtbl.create 4;
+            rstages = 0;
+            rrt = 0;
+          }
+        in
+        Hashtbl.add tbl name row;
+        order := name :: !order;
+        row
+  in
   List.iter
     (fun r ->
+      (match r.modeled with
+      | Some modeled ->
+          let row = row_of ("batch:" ^ r.relation) in
+          row.rn <- row.rn + 1;
+          row.rp <- row.rp +. modeled;
+          row.rm <- row.rm +. r.wall;
+          row.rb <- row.rb + r.bytes_shuffled;
+          row.rwb <- row.rwb + r.wire_bytes;
+          row.rstages <- row.rstages + r.stages;
+          row.rrt <- row.rrt + r.round_trips
+      | None -> ());
       List.iter
         (fun (s : Node.stage_stat) ->
-          let row =
-            match Hashtbl.find_opt tbl s.Node.sname with
-            | Some row -> row
-            | None ->
-                let row =
-                  {
-                    rn = 0;
-                    rp = 0.;
-                    rm = 0.;
-                    rb = 0;
-                    rwb = 0;
-                    rpwb = 0;
-                    rws = [||];
-                    rlinks = Hashtbl.create 4;
-                  }
-                in
-                Hashtbl.add tbl s.Node.sname row;
-                order := s.Node.sname :: !order;
-                row
-          in
+          let row = row_of s.Node.sname in
           (if Array.length s.Node.swalls > 0 then
              row.rws <-
                (if Array.length row.rws = Array.length s.Node.swalls then
@@ -249,6 +276,10 @@ let reconcile_json reports =
       if row.rpwb > 0 then
         Buffer.add_string buf
           (Printf.sprintf ", \"predicted_wire_bytes\": %d" row.rpwb);
+      if String.starts_with ~prefix:"batch:" name then
+        Buffer.add_string buf
+          (Printf.sprintf ", \"stages\": %d, \"round_trips\": %d" row.rstages
+             row.rrt);
       (if Hashtbl.length row.rlinks > 0 then begin
          let links =
            List.sort compare

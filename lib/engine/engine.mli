@@ -68,6 +68,7 @@ val default_config : config
     runs additionally measure [wire_bytes] and per-stage
     predicted-vs-measured {!Divm_node.Node.stage_stat}s. *)
 type report = {
+  relation : string;  (** the batch's trigger relation *)
   tuples : int;
   ops : int;
       (** local: record ops; distributed: driver ops + per-stage maximum
@@ -75,6 +76,9 @@ type report = {
   wall : float;  (** measured seconds *)
   modeled : float option;  (** cost-model seconds (distributed backends) *)
   stages : int;
+  round_trips : int;
+      (** coordinator request/reply barriers ([Multiprocess]; 0
+          otherwise) — {!Divm_node.Node.metrics} [round_trips] *)
   bytes_shuffled : int;
   wire_bytes : int;
   stage_stats : Divm_node.Node.stage_stat list;
@@ -138,5 +142,10 @@ val shutdown : t -> unit
     add ["mesh_links"] ([{"src", "dst", "bytes"}] per active link, sorted
     by (src, dst)) and, like distributed stages, ["worker_walls_ms"] /
     ["slowest_worker"] / ["straggler_ratio"] from the workers'
-    self-measured shuffle walls — per-link straggler attribution. *)
+    self-measured shuffle walls — per-link straggler attribution.
+    Distributed runs also get one ["batch:REL"] row per trigger relation
+    summing whole batches (modeled latency, wall, modeled and wire
+    bytes) plus their ["stages"] and ["round_trips"] — since every stage
+    is at least one round trip, [round_trips <= stages] on such a row
+    says each of its batches took exactly one round trip per stage. *)
 val reconcile_json : report list -> string

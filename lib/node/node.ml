@@ -13,6 +13,7 @@ let m_stages = Obs.Counter.make "divm_node_stages_total"
 let m_batches = Obs.Counter.make "divm_node_batches_total"
 let m_worker_ops = Obs.Counter.make "divm_node_worker_ops_total"
 let m_driver_ops = Obs.Counter.make "divm_node_driver_ops_total"
+let m_round_trips = Obs.Counter.make "divm_node_round_trips_total"
 let g_workers = Obs.Gauge.make "divm_node_workers"
 
 (* Straggler detector: max/median worker wall per distributed stage. A
@@ -67,6 +68,7 @@ type metrics = {
   latency : float;
   wall : float;
   stages : int;
+  round_trips : int;
   bytes_shuffled : int;
   wire_bytes : int;
   max_worker_ops : int;
@@ -80,6 +82,136 @@ let ignore_sigpipe () =
   try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with _ -> ()
 
 (* -------------------------------------------------------------- *)
+(* Hoisting plan (derived identically by coordinator and workers)  *)
+(* -------------------------------------------------------------- *)
+
+(* Work a worker runs inside one [Stage] frame after the stage's block:
+   a direct mesh transfer (destination, partition key, source), or a
+   gather whose source partition ships back in the reply (only worker
+   0's copy matters for a replicated source). *)
+type hoisted =
+  | HShuffle of string * int array * string
+  | HGather of string * bool
+
+(* Where a statement of a local block runs: at its position on the
+   coordinator, or folded in from the preceding stage's reply as its
+   k-th shuffle (or k-th gather, by transfer kind). *)
+type placement = Walk | Hoisted of int
+
+(* Per block of a trigger: for a distributed block, the items hoisted
+   out of the local blocks that follow it; for a local block, one
+   placement per statement. *)
+type bplan = PDist of hoisted list | PLocal of placement list
+
+(* [Loc.find] walks the catalog, a list with an entry per map (about
+   1900 on Q3+Q7+Q17): resolve names through a table built once. *)
+let loc_index (locs : Loc.catalog) =
+  let tbl = Hashtbl.create (List.length locs) in
+  List.iter
+    (fun (name, l) -> if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name l)
+    locs;
+  fun name -> Option.value (Hashtbl.find_opt tbl name) ~default:Loc.Local
+
+(* A transfer goes over the mesh when every byte both starts and ends on
+   workers: distributed-to-distributed scatters and repartitions.
+   Replicated/local sources and gathers stay off the mesh. *)
+let mesh_eligible loc ~mesh = function
+  | Dprog.Transfer { tkind; source; tname; _ } ->
+      mesh && tkind <> Dprog.Gather
+      && (match loc source with
+         | Loc.Dist _ | Loc.Random -> true
+         | Loc.Local | Loc.Replicated -> false)
+      && loc tname <> Loc.Local
+  | Dprog.Compute _ -> false
+
+let gather_hoistable loc = function
+  | Dprog.Transfer { tkind = Dprog.Gather; source; tname; _ } ->
+      loc source <> Loc.Local && loc tname = Loc.Local
+  | _ -> false
+
+(* The static plan both ends derive from the marshaled program. For
+   each distributed block, the items of the following local block (or
+   run of local blocks, when fusion left several) the workers run
+   before replying: mesh transfers and gathers from worker-resident
+   sources — each only if it commutes ([Dprog.commute]) with every
+   statement before it in that block, so running it at the stage
+   barrier instead of at its position changes no value any statement
+   reads. The coordinator still walks every local block in program
+   order and folds each hoisted item's reported stats and contents in
+   at the item's own position. Everything else — scatters from driver
+   or replicated maps, every repartition under the star topology, and
+   any item the commute rule keeps in place (none in the TPC-H suite) —
+   runs on the star path at its position. *)
+let plan (dp : Dprog.t) ~mesh =
+  let loc = loc_index dp.locs in
+  let shuffle d = mesh_eligible loc ~mesh d in
+  let hoistable d = shuffle d || gather_hoistable loc d in
+  let hoisted_of = function
+    | Dprog.Transfer { tkind = Dprog.Gather; source; _ } ->
+        HGather (source, loc source = Loc.Replicated)
+    | Dprog.Transfer { tname; key; source; _ } -> HShuffle (tname, key, source)
+    | Dprog.Compute _ -> invalid_arg "Node.plan: compute statement hoisted"
+  in
+  (* [Dprog.commute d s] for a transfer [d] (an assignment) is: [d]'s
+     destination is neither read nor written by [s], and [s] does not
+     write [d]'s source. Against every statement before [d] that is a
+     lookup in the union of their reads and writes, kept incrementally —
+     each statement's reads are computed once, not once per pair. *)
+  let place stmts =
+    let ns = ref 0 and ng = ref 0 and items = ref [] in
+    let read = Hashtbl.create 64 and wrote = Hashtbl.create 16 in
+    let ps =
+      List.map
+        (fun d ->
+          let p =
+            match d with
+            | Dprog.Transfer { tname; source; _ }
+              when hoistable d
+                   && not
+                        (Hashtbl.mem read tname || Hashtbl.mem wrote tname
+                       || Hashtbl.mem wrote source) ->
+                items := hoisted_of d :: !items;
+                let c = if shuffle d then ns else ng in
+                incr c;
+                Hoisted (!c - 1)
+            | _ -> Walk
+          in
+          List.iter (fun m -> Hashtbl.replace read m ()) (Dprog.reads d);
+          Hashtbl.replace wrote (Dprog.writes d) ();
+          p)
+        stmts
+    in
+    (ps, List.rev !items)
+  in
+  (* A run of local blocks executes as one statement sequence, so a
+     stage hoists out of all of them. *)
+  let rec split ps = function
+    | [] -> []
+    | (b : Dprog.block) :: bs ->
+        let n = List.length b.bstmts in
+        PLocal (List.filteri (fun i _ -> i < n) ps)
+        :: split (List.filteri (fun i _ -> i >= n) ps) bs
+  in
+  let rec walk = function
+    | [] -> []
+    | { Dprog.bmode = Dprog.MDist; _ } :: rest ->
+        let rec locals acc = function
+          | ({ Dprog.bmode = Dprog.MLocal; _ } as b) :: bs -> locals (b :: acc) bs
+          | bs -> (List.rev acc, bs)
+        in
+        let run, rest = locals [] rest in
+        let ps, items =
+          place (List.concat_map (fun (b : Dprog.block) -> b.bstmts) run)
+        in
+        (PDist items :: split ps run) @ walk rest
+    | { Dprog.bmode = Dprog.MLocal; bstmts } :: rest ->
+        PLocal (List.map (fun _ -> Walk) bstmts) :: walk rest
+  in
+  List.map
+    (fun (tr : Dprog.dtrigger) -> (tr.drelation, walk tr.blocks))
+    dp.dtriggers
+
+(* -------------------------------------------------------------- *)
 (* Worker side                                                     *)
 (* -------------------------------------------------------------- *)
 
@@ -88,11 +220,21 @@ let ignore_sigpipe () =
    path under an enabled profiler pays array additions, not lookups. *)
 type wstate = {
   wrt : Runtime.t;
+  wdp : Dprog.t;
   wplans : (string * (string * int * (unit -> unit)) list array) list;
-  wtransfers : (string * int array * string) array;
-      (* the coordinator's Shuffle frames index into this; both sides
-         derive it from the identical marshaled program *)
+  mutable whoist : (string * hoisted list array) list;
+      (* per trigger and block, what a [Stage] frame runs after the
+         block; derived for the star topology at [Init] and again for
+         the mesh once it is wired *)
 }
+
+let hoists_of dp ~mesh =
+  List.map
+    (fun (rel, bps) ->
+      ( rel,
+        Array.of_list
+          (List.map (function PDist h -> h | PLocal _ -> []) bps) ))
+    (plan dp ~mesh)
 
 let build_wstate (dp : Dprog.t) =
   (* Same compilation path as the simulator's nodes: one serial runtime
@@ -124,7 +266,7 @@ let build_wstate (dp : Dprog.t) =
                tr.blocks) ))
       dp.dtriggers
   in
-  { wrt = rt; wplans; wtransfers = Dprog.transfers dp }
+  { wrt = rt; wdp = dp; wplans; whoist = hoists_of dp ~mesh:false }
 
 (* Baseline registry snapshot for the worker's telemetry deltas: each
    [Pull_telemetry] ships [diff] against this and advances it. *)
@@ -267,8 +409,8 @@ let mesh_close m =
    with receives. Every worker keeps draining its receive side while its
    own sends are in flight, so a peer blocked on a full socket buffer is
    always relieved by its receiver — the all-to-all cyclic-wait deadlock
-   is impossible by construction. Returns the received raw frames,
-   indexed by peer id. *)
+   is impossible by construction. Returns the received payloads (length
+   prefix stripped), indexed by peer id. *)
 let mesh_exchange m (frames : string array) =
   let w = Array.length m.mpeers in
   let self = m.mself in
@@ -286,14 +428,16 @@ let mesh_exchange m (frames : string array) =
   let sent = Array.make w 0 in
   let out_done = Array.init w (fun i -> i = self) in
   let in_done = Array.init w (fun i -> i = self) in
-  let bufs = Array.init w (fun _ -> Buffer.create 256) in
-  let need = Array.make w (-1) in
+  (* each peer's frame is read straight into exact-size buffers: the
+     4-byte length prefix first, then a payload of exactly that size *)
+  let hdrs = Array.init w (fun _ -> Bytes.create 4) in
+  let bodies = Array.make w Bytes.empty in
+  let got = Array.make w 0 in
   List.iter (fun (fd, _) -> Unix.set_nonblock fd) !peer_idx;
   let restore () =
     List.iter (fun (fd, _) -> try Unix.clear_nonblock fd with _ -> ()) !peer_idx
   in
   Fun.protect ~finally:restore @@ fun () ->
-  let scratch = Bytes.create 65536 in
   let deadline = Unix.gettimeofday () +. 120. in
   while Array.exists not out_done || Array.exists not in_done do
     if Unix.gettimeofday () > deadline then
@@ -328,18 +472,21 @@ let mesh_exchange m (frames : string array) =
         List.iter
           (fun fd ->
             let i = index_of fd in
-            match Unix.read fd scratch 0 (Bytes.length scratch) with
+            let in_body = got.(i) >= 4 in
+            let buf, off, len =
+              if in_body then
+                (bodies.(i), got.(i) - 4, Bytes.length bodies.(i) - got.(i) + 4)
+              else (hdrs.(i), got.(i), 4 - got.(i))
+            in
+            match Unix.read fd buf off len with
             | 0 ->
                 raise
                   (Protocol.Error
                      (Printf.sprintf "mesh peer %d closed mid-shuffle" i))
             | k ->
-                Buffer.add_subbytes bufs.(i) scratch 0 k;
-                if need.(i) < 0 && Buffer.length bufs.(i) >= 4 then begin
-                  let n =
-                    Int32.to_int
-                      (String.get_int32_be (Buffer.sub bufs.(i) 0 4) 0)
-                  in
+                got.(i) <- got.(i) + k;
+                if (not in_body) && got.(i) = 4 then begin
+                  let n = Int32.to_int (Bytes.get_int32_be hdrs.(i) 0) in
                   if n < 1 || n > Protocol.max_frame then
                     raise
                       (Protocol.Error
@@ -347,89 +494,173 @@ let mesh_exchange m (frames : string array) =
                             "mesh peer %d: declared frame length %d out of \
                              range (max_frame %d)"
                             i n Protocol.max_frame));
-                  need.(i) <- n
+                  bodies.(i) <- Bytes.create n
                 end;
-                if need.(i) >= 0 && Buffer.length bufs.(i) >= 4 + need.(i)
-                then
-                  if Buffer.length bufs.(i) > 4 + need.(i) then
-                    raise
-                      (Protocol.Error
-                         (Printf.sprintf
-                            "mesh peer %d: %d trailing bytes after frame" i
-                            (Buffer.length bufs.(i) - 4 - need.(i))))
-                  else in_done.(i) <- true
+                if got.(i) >= 4 && got.(i) = 4 + Bytes.length bodies.(i) then
+                  in_done.(i) <- true
             | exception
                 Unix.Unix_error
                   ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
                 ())
           rs
   done;
-  Array.init w (fun i -> if i = self then "" else Buffer.contents bufs.(i))
+  Array.init w (fun i ->
+      if i = self then "" else Bytes.unsafe_to_string bodies.(i))
 
-(* One direct shuffle: partition our source partition into per-destination
-   pre-summed buffers, exchange with every peer, apply in source order.
-   The modeled byte accounting is computed here with exactly the
-   simulator's rule (origin = destination moves are free), and the
-   apply loop below walks sources in ascending worker id — the same
-   source order the coordinator's star path and the simulator use — so
-   both the float association of cross-source collisions and the
-   destination map's slot-creation order are preserved bit-identically. *)
-let mesh_shuffle s m ~tname ~key ~source =
-  let wall0 = Unix.gettimeofday () in
+(* Every mesh transfer of one stage in a single exchange: partition each
+   source partition into per-destination pre-summed buffers, send each
+   peer one frame holding one section per transfer, then apply per
+   transfer in ascending source order. All sources are partitioned
+   before any destination changes, which the plan makes safe: a hoisted
+   transfer commutes with every one before it, so none reads another's
+   destination. The modeled byte accounting is computed here with
+   exactly the simulator's rule (origin = destination moves are free),
+   and applying sources in ascending worker id — the same order the
+   coordinator's star path and the simulator use — preserves both the
+   float association of cross-source collisions and the destination
+   map's slot-creation order bit-identically. *)
+let mesh_shuffle s m transfers =
   let w = Array.length m.mpeers in
   let self = m.mself in
-  let outs = Array.init w (fun _ -> Gmr.create ()) in
-  let ser = ref 0 in
-  let modeled = Array.make w 0 in
-  Gmr.iter
-    (fun tup mult ->
-      let b = Costmodel.tuple_bytes tup in
-      ser := !ser + b;
-      if Array.length key = 0 then
-        for d = 0 to w - 1 do
-          Gmr.add outs.(d) tup mult;
-          if d <> self then modeled.(d) <- modeled.(d) + b
-        done
-      else begin
-        let d =
-          Divm_ring.Vtuple.hash (Divm_ring.Vtuple.project tup key) mod w
-        in
-        Gmr.add outs.(d) tup mult;
-        if d <> self then modeled.(d) <- modeled.(d) + b
-      end)
-    (Runtime.map_contents s.wrt source);
-  Runtime.clear_map s.wrt tname;
-  let frames =
+  let nt = List.length transfers in
+  let builders =
     Array.init w (fun d ->
-        if d = self then ""
-        else Protocol.encode_frame (Protocol.Mesh_data (self, outs.(d))))
+        if d = self then None
+        else Some (Protocol.mesh_frame ~src:self ~sections:nt))
   in
+  (* sent.(k).(d): bytes of transfer k's section in the frame to peer d
+     (its length prefix included); the first section also carries the
+     frame header, so the sections sum to the frame exactly *)
+  let sent = Array.init nt (fun _ -> Array.make w 0) in
+  let parts =
+    List.mapi
+      (fun k (tname, key, source) ->
+        let wall0 = Unix.gettimeofday () in
+        let outs = Array.init w (fun _ -> Gmr.create ()) in
+        let ser = ref 0 in
+        let modeled = Array.make w 0 in
+        Runtime.iter_map s.wrt source (fun tup mult ->
+            let b = Costmodel.tuple_bytes tup in
+            ser := !ser + b;
+            if Array.length key = 0 then
+              for d = 0 to w - 1 do
+                Gmr.add outs.(d) tup mult;
+                if d <> self then modeled.(d) <- modeled.(d) + b
+              done
+            else begin
+              let d =
+                Divm_ring.Vtuple.hash (Divm_ring.Vtuple.project tup key) mod w
+              in
+              Gmr.add outs.(d) tup mult;
+              if d <> self then modeled.(d) <- modeled.(d) + b
+            end);
+        Runtime.clear_map s.wrt tname;
+        (* peers' buffers go straight into their frames; only our own
+           share is kept for the apply *)
+        Array.iteri
+          (fun d b ->
+            match b with
+            | Some f ->
+                sent.(k).(d) <-
+                  Protocol.add_mesh_section f outs.(d)
+                  + if k = 0 then Protocol.mesh_frame_header else 0
+            | None -> ())
+          builders;
+        (tname, outs.(self), !ser, modeled, Unix.gettimeofday () -. wall0))
+      transfers
+  in
+  let frames =
+    Array.map
+      (function Some f -> Protocol.finish_mesh_frame f | None -> "")
+      builders
+  in
+  let x0 = Unix.gettimeofday () in
   let received = if w > 1 then mesh_exchange m frames else frames in
-  for src = 0 to w - 1 do
-    let g =
-      if src = self then outs.(self)
-      else
-        match Protocol.decode_frame received.(src) with
-        | Protocol.Mesh_data (src', g), _ when src' = src -> g
-        | Protocol.Mesh_data (src', _), _ ->
-            failwith
-              (Printf.sprintf
-                 "divm_node worker: mesh frame from peer %d claims src %d"
-                 src src')
-        | _ ->
-            failwith
-              (Printf.sprintf
-                 "divm_node worker: unexpected mesh message from peer %d" src)
-    in
-    (* slot-order replay, exactly like the star path's Deliver handler *)
-    Gmr.iter (fun tup mult -> Runtime.add_to_map s.wrt tname tup mult) g
-  done;
-  {
-    Protocol.ss_ser = !ser;
-    ss_modeled = modeled;
-    ss_sent = Array.map String.length frames;
-    ss_wall = Unix.gettimeofday () -. wall0;
-  }
+  let xwall = Unix.gettimeofday () -. x0 in
+  let sections =
+    Array.init w (fun src ->
+        if src = self then [||]
+        else
+          match Protocol.decode received.(src) with
+          | Protocol.Mesh_data (src', secs)
+            when src' = src && List.length secs = nt ->
+              Array.of_list secs
+          | Protocol.Mesh_data (src', secs) ->
+              failwith
+                (Printf.sprintf
+                   "divm_node worker: mesh frame from peer %d claims src %d \
+                    with %d sections (expected %d)"
+                   src src' (List.length secs) nt)
+          | _ ->
+              failwith
+                (Printf.sprintf
+                   "divm_node worker: unexpected mesh message from peer %d" src))
+  in
+  let total = Array.fold_left (Array.fold_left ( + )) 0 sent in
+  List.mapi
+    (fun k (tname, own, ser, modeled, pwall) ->
+      let a0 = Unix.gettimeofday () in
+      for src = 0 to w - 1 do
+        let g =
+          if src = self then own else Protocol.decode_gmr sections.(src).(k)
+        in
+        (* slot-order replay, exactly like the star path's Deliver handler *)
+        Gmr.iter (fun tup mult -> Runtime.add_to_map s.wrt tname tup mult) g
+      done;
+      (* the shared exchange is charged by each transfer's byte share *)
+      let share =
+        if total = 0 then 1. /. float_of_int nt
+        else float_of_int (Array.fold_left ( + ) 0 sent.(k)) /. float_of_int total
+      in
+      {
+        Protocol.ss_ser = ser;
+        ss_modeled = modeled;
+        ss_sent = sent.(k);
+        ss_wall = pwall +. (Unix.gettimeofday () -. a0) +. (xwall *. share);
+      })
+    parts
+
+(* One [Stage] frame: load the batch share if it rides along, run the
+   block, every hoisted mesh transfer in one exchange, and pack the
+   hoisted gathers' source partitions into the single reply. *)
+let run_stage s ~id mesh ~rel bi share =
+  (match share with Some g -> Runtime.load_batch s.wrt ~rel g | None -> ());
+  let block, items =
+    match (List.assoc_opt rel s.wplans, List.assoc_opt rel s.whoist) with
+    | Some blocks, Some hoists when bi >= 0 && bi < Array.length blocks ->
+        (blocks.(bi), hoists.(bi))
+    | _ ->
+        failwith (Printf.sprintf "divm_node worker: no block %d for %s" bi rel)
+  in
+  let o0 = Runtime.ops s.wrt in
+  let wall0 = Unix.gettimeofday () in
+  List.iter (fun (label, slot, f) -> wexec s ~label ~slot f) block;
+  let sr_ops = Runtime.ops s.wrt - o0 in
+  let sr_wall = Unix.gettimeofday () -. wall0 in
+  let shuffles =
+    List.filter_map
+      (function HShuffle (t, k, src) -> Some (t, k, src) | HGather _ -> None)
+      items
+  in
+  let sr_shuffles =
+    match (shuffles, mesh) with
+    | [], _ -> []
+    | _, Some m -> mesh_shuffle s m shuffles
+    | _, None ->
+        failwith "divm_node worker: mesh transfer before the mesh handshake"
+  in
+  let sr_gathers =
+    List.filter_map
+      (function
+        | HGather (src, replicated) ->
+            Some
+              (Protocol.encode_gmr
+                 (if replicated && id <> 0 then Gmr.create ~size:1 ()
+                  else Runtime.map_contents s.wrt src))
+        | HShuffle _ -> None)
+      items
+  in
+  Protocol.Stage_done { sr_ops; sr_wall; sr_shuffles; sr_gathers }
 
 let serve ~id fd =
   let state = ref None in
@@ -450,37 +681,20 @@ let serve ~id fd =
               let dp : Dprog.t = Marshal.from_string s 0 in
               state := Some (build_wstate dp);
               Protocol.Ack
-          | Protocol.Load_batch (rel, g) ->
-              Runtime.load_batch (st ()).wrt ~rel g;
-              Protocol.Ack
-          | Protocol.Run_block (rel, bi) ->
-              let s = st () in
-              let o0 = Runtime.ops s.wrt in
-              let wall0 = Unix.gettimeofday () in
-              (match List.assoc_opt rel s.wplans with
-              | Some blocks when bi >= 0 && bi < Array.length blocks ->
-                  List.iter
-                    (fun (label, slot, f) -> wexec s ~label ~slot f)
-                    blocks.(bi)
-              | _ ->
-                  failwith
-                    (Printf.sprintf "divm_node worker: no block %d for %s" bi
-                       rel));
-              Protocol.Block_done
-                (Runtime.ops s.wrt - o0, Unix.gettimeofday () -. wall0)
+          | Protocol.Stage (rel, bi, share) ->
+              run_stage (st ()) ~id !mesh ~rel bi share
           | Protocol.Pull_map name ->
               Protocol.Map_contents (Runtime.map_contents (st ()).wrt name)
           | Protocol.Deliver (name, g) ->
               let s = st () in
-              (* replay in slot order: the decoded GMR preserves the
-                 sender's buffer order, which is the order the simulator
-                 delivers in. Any reordering here would permute the
-                 transient's slots and perturb downstream float
-                 summation, breaking bit-identity with the simulator. *)
+              (* a delivery replaces the destination; replay in slot
+                 order: the decoded GMR preserves the sender's buffer
+                 order, which is the order the simulator delivers in.
+                 Any reordering here would permute the transient's slots
+                 and perturb downstream float summation, breaking
+                 bit-identity with the simulator. *)
+              Runtime.clear_map s.wrt name;
               Gmr.iter (fun tup m -> Runtime.add_to_map s.wrt name tup m) g;
-              Protocol.Ack
-          | Protocol.Clear_map name ->
-              Runtime.clear_map (st ()).wrt name;
               Protocol.Ack
           | Protocol.Start_telemetry (profile, trace) ->
               Prof.set_enabled profile;
@@ -497,29 +711,15 @@ let serve ~id fd =
               (match !mesh with
               | Some m -> mesh_connect m
               | None -> failwith "divm_node worker: Mesh_connect before Peers");
-              Protocol.Ack
-          | Protocol.Shuffle idx ->
               let s = st () in
-              (match !mesh with
-              | Some m ->
-                  if idx >= Array.length s.wtransfers then
-                    failwith
-                      (Printf.sprintf
-                         "divm_node worker: transfer index %d out of range \
-                          (%d transfers)"
-                         idx
-                         (Array.length s.wtransfers));
-                  let tname, key, source = s.wtransfers.(idx) in
-                  Protocol.Shuffle_done (mesh_shuffle s m ~tname ~key ~source)
-              | None ->
-                  failwith
-                    "divm_node worker: Shuffle before the mesh handshake")
+              s.whoist <- hoists_of s.wdp ~mesh:true;
+              Protocol.Ack
           | Protocol.Shutdown ->
               running := false;
               Protocol.Ack
-          | Protocol.Hello _ | Protocol.Ack | Protocol.Block_done _
-          | Protocol.Map_contents _ | Protocol.Telemetry _
-          | Protocol.Shuffle_done _ | Protocol.Mesh_data _ ->
+          | Protocol.Hello _ | Protocol.Ack | Protocol.Map_contents _
+          | Protocol.Telemetry _ | Protocol.Mesh_data _ | Protocol.Stage_done _
+            ->
               failwith "divm_node worker: unexpected coordinator message"
         in
         ignore (Protocol.write_msg fd reply)
@@ -550,12 +750,14 @@ type transfer = {
   tkind : Dprog.transfer_kind;
   key : int array;
   source : string;
+  src_loc : Loc.t;
+  dst_loc : Loc.t;
   tslot : int;
 }
 
 type item =
   | NDriver of string * int * (unit -> unit)
-  | NTransfer of transfer
+  | NTransfer of transfer * placement
 
 type nblock =
   | BLocal of item list
@@ -569,8 +771,10 @@ type t = {
   driver : Runtime.t;
   conns : conn array;
   plans : (string * nblock list) list;
+  loc : string -> Loc.t;
   delta_at_workers : bool;
   mutable wire : int; (* actual socket bytes, current batch *)
+  mutable round_trips : int; (* request/reply barriers since create *)
   mutable alive : bool;
   mutable telem_started : bool; (* Start_telemetry sent to every worker *)
   offsets : float array; (* estimated worker clock minus ours, seconds *)
@@ -579,10 +783,6 @@ type t = {
   wstage : Obs.Histogram.t array; (* divm_node_stage_seconds{worker=i} *)
   mlinks : Obs.Counter.t array array;
       (* divm_node_mesh_bytes_total{src=i,dst=j}; empty under Star *)
-  tindex : (string * int array * string, int) Hashtbl.t;
-      (* (tname, key, source) -> index in Dprog.transfers; the workers
-         derive the same table from the Init program, so a Shuffle frame
-         carries four bytes instead of the three names *)
 }
 
 let workers t = t.cfg.workers
@@ -633,28 +833,33 @@ let recv t wi =
   | exception ((Protocol.Error _ | Unix.Unix_error _ | End_of_file) as e) ->
       fail_worker t wi e
 
-let expect_ack t wi =
-  match recv t wi with
-  | Protocol.Ack -> ()
-  | _ -> failwith (Printf.sprintf "divm_node: worker %d: expected Ack" wi)
+(* The one place a coordinator request/reply barrier happens, and so the
+   one place it is counted: [req wi] goes to every worker (or only to
+   [worker]), then each reply is read in worker order. One barrier is
+   one round trip however many workers it addresses. *)
+let round_trip ?worker t req =
+  t.round_trips <- t.round_trips + 1;
+  Obs.Counter.incr m_round_trips;
+  match worker with
+  | Some wi ->
+      send t wi (req wi);
+      [| recv t wi |]
+  | None ->
+      Array.iteri (fun wi _ -> send t wi (req wi)) t.conns;
+      Array.init (Array.length t.conns) (fun wi -> recv t wi)
 
-let expect_contents t wi =
-  match recv t wi with
+let broadcast t msg =
+  Array.iteri
+    (fun wi m ->
+      match m with
+      | Protocol.Ack -> ()
+      | _ -> failwith (Printf.sprintf "divm_node: worker %d: expected Ack" wi))
+    (round_trip t (fun _ -> msg))
+
+let contents_of wi = function
   | Protocol.Map_contents g -> g
   | _ ->
       failwith (Printf.sprintf "divm_node: worker %d: expected Map_contents" wi)
-
-let expect_done t wi =
-  match recv t wi with
-  | Protocol.Block_done (ops, wall) -> (ops, wall)
-  | _ ->
-      failwith (Printf.sprintf "divm_node: worker %d: expected Block_done" wi)
-
-let expect_shuffle_done t wi =
-  match recv t wi with
-  | Protocol.Shuffle_done st -> st
-  | _ ->
-      failwith (Printf.sprintf "divm_node: worker %d: expected Shuffle_done" wi)
 
 (* ---- worker process spawning ---- *)
 
@@ -791,8 +996,10 @@ let create ?(config = default_config) (dp : Dprog.t) =
       driver = Runtime.create ~domains:1 (Dprog.compute_prog dp);
       conns;
       plans = [];
+      loc = loc_index dp.locs;
       delta_at_workers = false;
       wire = 0;
+      round_trips = 0;
       alive = true;
       telem_started = false;
       offsets = Array.make config.workers 0.;
@@ -820,65 +1027,62 @@ let create ?(config = default_config) (dp : Dprog.t) =
                      (Obs.with_labels "divm_node_mesh_bytes_total"
                         [ ("src", string_of_int s); ("dst", string_of_int d) ])))
          else [||]);
-      tindex =
-        (let tbl = Hashtbl.create 16 in
-         Array.iteri
-           (fun i tr -> if not (Hashtbl.mem tbl tr) then Hashtbl.add tbl tr i)
-           (Dprog.transfers dp);
-         tbl);
     }
   in
-  (* Ship the program; workers compile the same statements we do. *)
-  let init = Protocol.Init (Marshal.to_string dp []) in
-  Array.iteri (fun wi _ -> send t0 wi init) conns;
-  Array.iteri (fun wi _ -> expect_ack t0 wi) conns;
+  (* Ship the program; workers compile the same statements we do and
+     derive the same hoisting plan. *)
+  broadcast t0 (Protocol.Init (Marshal.to_string dp []));
   (* Mesh handshake: distribute every worker's listener path, barrier on
      the binds (so each listen backlog exists before any peer connects),
      then tell everyone to wire up. *)
   (if config.shuffle = Mesh then begin
-     let paths = Array.init config.workers (fun _ -> fresh_socket_path config) in
-     let peers = Protocol.Peers paths in
-     Array.iteri (fun wi _ -> send t0 wi peers) conns;
-     Array.iteri (fun wi _ -> expect_ack t0 wi) conns;
-     Array.iteri (fun wi _ -> send t0 wi Protocol.Mesh_connect) conns;
-     Array.iteri (fun wi _ -> expect_ack t0 wi) conns
+     broadcast t0
+       (Protocol.Peers
+          (Array.init config.workers (fun _ -> fresh_socket_path config)));
+     broadcast t0 Protocol.Mesh_connect
    end);
-  let compile_block trigger bi nstages (b : Dprog.block) =
-    match b.bmode with
-    | Dprog.MDist ->
+  let compile_block trigger bi nstages (b : Dprog.block) bp =
+    match (b.bmode, bp) with
+    | Dprog.MDist, PDist _ ->
         let label = Printf.sprintf "stage:%d" nstages in
         BDist (bi, Prof.slot ~trigger ~label)
-    | Dprog.MLocal ->
+    | Dprog.MLocal, PLocal ps ->
         BLocal
-          (List.map
-             (fun d ->
+          (List.map2
+             (fun d p ->
                match d with
                | Dprog.Transfer { tname; tkind; key; source } ->
                    NTransfer
-                     {
-                       tname;
-                       tkind;
-                       key;
-                       source;
-                       tslot = Prof.slot ~trigger ~label:("transfer:" ^ tname);
-                     }
+                     ( {
+                         tname;
+                         tkind;
+                         key;
+                         source;
+                         src_loc = t0.loc source;
+                         dst_loc = t0.loc tname;
+                         tslot = Prof.slot ~trigger ~label:("transfer:" ^ tname);
+                       },
+                       p )
                | Dprog.Compute s ->
                    let label = "driver:" ^ s.target in
                    NDriver
                      ( label,
                        Prof.slot ~trigger ~label,
                        List.hd (Runtime.compile_stmts t0.driver [ s ]) ))
-             b.bstmts)
+             b.bstmts ps)
+    | _ -> invalid_arg "Node.create: plan does not match the block modes"
   in
+  let hplan = plan dp ~mesh:(config.shuffle = Mesh) in
   let plans =
     List.map
       (fun (tr : Dprog.dtrigger) ->
         let nstages = ref 0 in
+        let bplans = Array.of_list (List.assoc tr.drelation hplan) in
         ( tr.drelation,
           List.mapi
             (fun bi (b : Dprog.block) ->
               if b.bmode = Dprog.MDist then incr nstages;
-              compile_block tr.drelation bi !nstages b)
+              compile_block tr.drelation bi !nstages b bplans.(bi))
             tr.blocks ))
       dp.dtriggers
   in
@@ -887,13 +1091,13 @@ let create ?(config = default_config) (dp : Dprog.t) =
       (fun (m : Divm_compiler.Prog.map_decl) ->
         m.mkind = Divm_compiler.Prog.Transient
         && Divm_calc.Calc.has_deltas m.definition
-        && Loc.find dp.locs m.mname <> Loc.Local)
+        && t0.loc m.mname <> Loc.Local)
       dp.base.maps
   in
   Obs.Gauge.set g_workers (float_of_int config.workers);
   { t0 with plans; delta_at_workers }
 
-(* ---- transfers (star topology through the coordinator) ---- *)
+(* ---- transfers ---- *)
 
 type net = {
   mutable total_bytes : int;
@@ -903,30 +1107,18 @@ type net = {
 
 let tuple_bytes = Costmodel.tuple_bytes
 
-(* Pull sources, clear destinations, partition, deliver. The modeled byte
-   accounting is the simulator's exactly — origin = destination moves are
-   free in the model even though the star topology really sends them over
-   two socket hops; the difference is precisely what [wire_bytes] vs
-   [bytes_shuffled] exposes. *)
-let run_transfer t net (tr : transfer) =
-  let src_loc = Loc.find t.dprog.locs tr.source in
-  let dst_loc = Loc.find t.dprog.locs tr.tname in
+(* Partition the source contents ([(origin, gmr)] in the simulator's
+   worker order; origin -1 is the driver, -2 a replicated copy) into the
+   destination: the driver map for a gather, per-worker [Deliver]
+   buffers otherwise. The modeled byte accounting is the simulator's
+   exactly — origin = destination moves are free in the model even
+   though the star topology really sends them over two socket hops; the
+   difference is precisely what [wire_bytes] vs [bytes_shuffled]
+   exposes. Returns the modeled serialized bytes. *)
+let distribute_sources t net (tr : transfer) sources =
   let w = Array.length t.conns in
-  let sources =
-    match src_loc with
-    | Loc.Local -> [ (-1, Runtime.map_contents t.driver tr.source) ]
-    | Loc.Replicated ->
-        send t 0 (Protocol.Pull_map tr.source);
-        [ (-2, expect_contents t 0) ]
-    | Loc.Dist _ | Loc.Random ->
-        Array.iteri (fun wi _ -> send t wi (Protocol.Pull_map tr.source)) t.conns;
-        Array.to_list (Array.init w (fun wi -> (wi, expect_contents t wi)))
-  in
-  (match dst_loc with
-  | Loc.Local -> Runtime.clear_map t.driver tr.tname
-  | _ ->
-      Array.iteri (fun wi _ -> send t wi (Protocol.Clear_map tr.tname)) t.conns;
-      Array.iteri (fun wi _ -> expect_ack t wi) t.conns);
+  let to_workers = tr.dst_loc <> Loc.Local in
+  if not to_workers then Runtime.clear_map t.driver tr.tname;
   (* Per-destination out-buffers: duplicates pre-sum at the coordinator in
      source-iteration order, so the float each worker finally stores is
      bit-identical to the simulator's in-order adds into a cleared map. *)
@@ -967,28 +1159,37 @@ let run_transfer t net (tr : transfer) =
                   tup m)
         contents)
     sources;
-  if dst_loc <> Loc.Local then begin
+  (* [Deliver] replaces the destination, so there is no separate clear *)
+  if to_workers then
     Array.iteri
-      (fun wi _ -> send t wi (Protocol.Deliver (tr.tname, outs.(wi))))
-      t.conns;
-    Array.iteri (fun wi _ -> expect_ack t wi) t.conns
-  end;
+      (fun wi m ->
+        match m with
+        | Protocol.Ack -> ()
+        | _ -> failwith (Printf.sprintf "divm_node: worker %d: expected Ack" wi))
+      (round_trip t (fun wi -> Protocol.Deliver (tr.tname, outs.(wi))));
   !ser_bytes
 
-(* ---- transfers (direct worker-to-worker mesh) ---- *)
-
-(* A transfer goes over the mesh when every byte both starts and ends on
-   workers: distributed-to-distributed scatters and repartitions. Gathers
-   terminate at the driver and replicated/local sources live off the
-   mesh, so those stay on the star path — which also keeps the star code
-   exercised under the default Mesh config. *)
-let mesh_eligible t (tr : transfer) =
-  t.cfg.shuffle = Mesh
-  && tr.tkind <> Dprog.Gather
-  && (match Loc.find t.dprog.locs tr.source with
-     | Loc.Dist _ | Loc.Random -> true
-     | Loc.Local | Loc.Replicated -> false)
-  && Loc.find t.dprog.locs tr.tname <> Loc.Local
+(* A transfer the plan leaves at its position on the star path: pull
+   the source partitions (in the simulator's worker order) and
+   distribute them through the coordinator. *)
+let run_transfer t net (tr : transfer) =
+  let sources =
+    match tr.src_loc with
+    | Loc.Local -> [ (-1, Runtime.map_contents t.driver tr.source) ]
+    | Loc.Replicated ->
+        [
+          ( -2,
+            contents_of 0
+              (round_trip ~worker:0 t (fun _ -> Protocol.Pull_map tr.source)).(0)
+          );
+        ]
+    | Loc.Dist _ | Loc.Random ->
+        Array.to_list
+          (Array.mapi
+             (fun wi m -> (wi, contents_of wi m))
+             (round_trip t (fun _ -> Protocol.Pull_map tr.source)))
+  in
+  distribute_sources t net tr sources
 
 (* How many times a shuffled byte crosses a socket, feeding the a-priori
    wire predictor. Star relays through the coordinator: one crossing to
@@ -1007,33 +1208,21 @@ let predicted_crossings t (tr : transfer) ~mesh =
     | Dprog.Gather -> 1
     | Dprog.Scatter | Dprog.Repart ->
         let src_remote =
-          match Loc.find t.dprog.locs tr.source with
+          match tr.src_loc with
           | Loc.Dist _ | Loc.Random | Loc.Replicated -> true
           | Loc.Local -> false
         in
         (if src_remote then 1 else 0) + fanout
 
-(* One mesh transfer: broadcast [Shuffle], barrier on every worker's
-   [Shuffle_done], fold the reported stats into the same modeled-byte
-   ledger the star path and the simulator fill — the workers apply the
-   simulator's free-when-origin-equals-destination rule locally, so
-   [net] ends up integer-identical and the modeled latency downstream is
-   bit-identical. Actual socket bytes land in [t.wire] and the per-link
-   counters instead. Returns (modeled ser bytes, per-worker shuffle
-   walls, (src, dst, wire bytes) per active link). *)
-let run_transfer_mesh t net (tr : transfer) =
+(* Fold one mesh transfer's per-worker reports into the same
+   modeled-byte ledger the star path and the simulator fill — the
+   workers apply the simulator's free-when-origin-equals-destination
+   rule locally, so [net] ends up integer-identical and the modeled
+   latency downstream is bit-identical. Actual socket bytes land in
+   [t.wire] and the per-link counters instead. Returns (modeled ser
+   bytes, (src, dst, wire bytes) per active link). *)
+let fold_shuffle t net (stats : Protocol.shuffle_stat array) =
   let w = Array.length t.conns in
-  let idx =
-    match Hashtbl.find_opt t.tindex (tr.tname, tr.key, tr.source) with
-    | Some i -> i
-    | None ->
-        failwith
-          (Printf.sprintf "divm_node: transfer %s <- %s not in Dprog.transfers"
-             tr.tname tr.source)
-  in
-  let m = Protocol.Shuffle idx in
-  Array.iteri (fun wi _ -> send t wi m) t.conns;
-  let stats = Array.init w (fun wi -> expect_shuffle_done t wi) in
   let ser = ref 0 in
   let links = ref [] in
   Array.iteri
@@ -1063,9 +1252,7 @@ let run_transfer_mesh t net (tr : transfer) =
           end)
         st.ss_sent)
     stats;
-  ( !ser,
-    Array.map (fun (st : Protocol.shuffle_stat) -> st.Protocol.ss_wall) stats,
-    List.rev !links )
+  (!ser, List.rev !links)
 
 (* ---- telemetry plane (coordinator side) ---- *)
 
@@ -1076,9 +1263,7 @@ let run_transfer_mesh t net (tr : transfer) =
 let maybe_start_telemetry t =
   if (not t.telem_started) && Obs.collection () then begin
     t.telem_started <- true;
-    let m = Protocol.Start_telemetry (Prof.enabled (), Obs.tracing ()) in
-    Array.iteri (fun wi _ -> send t wi m) t.conns;
-    Array.iteri (fun wi _ -> expect_ack t wi) t.conns
+    broadcast t (Protocol.Start_telemetry (Prof.enabled (), Obs.tracing ()))
   end
 
 (* One pull per worker, sequentially: the request/reply timestamps double
@@ -1091,8 +1276,7 @@ let pull_telemetry t =
   Array.iteri
     (fun wi _ ->
       let t0 = Unix.gettimeofday () in
-      send t wi Protocol.Pull_telemetry;
-      match recv t wi with
+      match (round_trip ~worker:wi t (fun _ -> Protocol.Pull_telemetry)).(0) with
       | Protocol.Telemetry tm ->
           let t1 = Unix.gettimeofday () in
           let rtt = t1 -. t0 in
@@ -1119,35 +1303,65 @@ let pull_telemetry t =
 
 (* ---- batch execution ---- *)
 
+(* The last [Stage] round trip's replies, indexed [worker][k]: what the
+   following local block's hoisted items fold in at their positions. *)
+type pending = {
+  pshuffles : Protocol.shuffle_stat array array;
+  pgathers : string array array;
+}
+
+let hoisted_item wi k a =
+  if k < Array.length a then a.(k)
+  else
+    failwith
+      (Printf.sprintf "divm_node: worker %d: stage reply lacks hoisted item %d"
+         wi k)
+
+let section_bytes sec = 4 + String.length sec
+
 let apply_batch t ~rel batch =
   if not t.alive then failwith "divm_node: engine is shut down";
   let w = Array.length t.conns in
   let batch_wall0 = Unix.gettimeofday () in
   t.wire <- 0;
+  let rt0 = t.round_trips in
   maybe_start_telemetry t;
   Obs.span ("node:" ^ rel) @@ fun () ->
-  if t.delta_at_workers then begin
-    let shares = Array.init w (fun _ -> Gmr.create ()) in
-    let i = ref 0 in
-    Gmr.iter
-      (fun tup m ->
-        Gmr.add shares.(!i mod w) tup m;
-        incr i)
-      batch;
-    Array.iteri
-      (fun wi _ -> send t wi (Protocol.Load_batch (rel, shares.(wi))))
-      t.conns;
-    Array.iteri (fun wi _ -> expect_ack t wi) t.conns;
-    Runtime.load_batch t.driver ~rel (Gmr.create ())
-  end
-  else begin
-    Runtime.load_batch t.driver ~rel batch;
-    let empty = Gmr.create () in
-    Array.iteri
-      (fun wi _ -> send t wi (Protocol.Load_batch (rel, empty)))
-      t.conns;
-    Array.iteri (fun wi _ -> expect_ack t wi) t.conns
-  end;
+  (* Same sharding as the simulator: round-robin over workers when the
+     delta pre-aggregations live there, whole batch to the driver
+     otherwise (the workers then load an empty share). *)
+  let shares =
+    if t.delta_at_workers then begin
+      let shares = Array.init w (fun _ -> Gmr.create ()) in
+      let i = ref 0 in
+      Gmr.iter
+        (fun tup m ->
+          Gmr.add shares.(!i mod w) tup m;
+          incr i)
+        batch;
+      Runtime.load_batch t.driver ~rel (Gmr.create ());
+      shares
+    end
+    else begin
+      Runtime.load_batch t.driver ~rel batch;
+      Array.make w (Gmr.create ())
+    end
+  in
+  (* The shares ride on the batch's first Stage frame, then are dropped. *)
+  let shares = ref (Some shares) in
+  let stage bi =
+    let sh = !shares in
+    shares := None;
+    Array.mapi
+      (fun wi m ->
+        match m with
+        | Protocol.Stage_done r -> r
+        | _ ->
+            failwith
+              (Printf.sprintf "divm_node: worker %d: expected Stage_done" wi))
+      (round_trip t (fun wi ->
+           Protocol.Stage (rel, bi, Option.map (fun a -> a.(wi)) sh)))
+  in
   let blocks =
     match List.assoc_opt rel t.plans with
     | Some b -> b
@@ -1161,6 +1375,93 @@ let apply_batch t ~rel batch =
   let driver_ops0 = Runtime.ops t.driver in
   let pending_max_into = ref 0 in
   let stats = ref [] in
+  let pending = ref None in
+  (* One transfer, whichever way it ran: fold its stats into the same
+     per-transfer row, modeled latency and profiler slot. *)
+  let run_item_transfer (tr : transfer) p =
+    let wall0 = Unix.gettimeofday () in
+    let wire0 = t.wire in
+    let bytes_before = net.total_bytes in
+    let before_max = Array.fold_left max net.into_driver net.into_node in
+    let ser, mesh, walls, links, swire, wall =
+      match p with
+      | Walk ->
+          let ser = run_transfer t net tr in
+          (ser, false, [||], [], t.wire - wire0, Unix.gettimeofday () -. wall0)
+      | Hoisted k -> (
+          let pd =
+            match !pending with
+            | Some pd -> pd
+            | None -> failwith "divm_node: hoisted transfer without a stage"
+          in
+          match tr.tkind with
+          | Dprog.Gather ->
+              let secs =
+                Array.mapi (fun wi a -> hoisted_item wi k a) pd.pgathers
+              in
+              let sources =
+                if tr.src_loc = Loc.Replicated then
+                  [ (-2, Protocol.decode_gmr secs.(0)) ]
+                else
+                  Array.to_list
+                    (Array.mapi (fun wi sec -> (wi, Protocol.decode_gmr sec)) secs)
+              in
+              (* gathered contents live only until their fold *)
+              Array.iter (fun a -> a.(k) <- "") pd.pgathers;
+              let ser = distribute_sources t net tr sources in
+              ( ser,
+                false,
+                [||],
+                [],
+                Array.fold_left (fun acc sec -> acc + section_bytes sec) 0 secs,
+                Unix.gettimeofday () -. wall0 )
+          | Dprog.Scatter | Dprog.Repart ->
+              let stats =
+                Array.mapi (fun wi a -> hoisted_item wi k a) pd.pshuffles
+              in
+              let ser, links = fold_shuffle t net stats in
+              let walls =
+                Array.map (fun (st : Protocol.shuffle_stat) -> st.ss_wall) stats
+              in
+              ( ser,
+                true,
+                walls,
+                links,
+                t.wire - wire0,
+                Array.fold_left Float.max 0. walls ))
+    in
+    if Prof.enabled () then
+      Prof.add tr.tslot ~ops:0 ~probes:0 ~misses:0 ~scanned:0 ~svscan:0 ~svsel:0
+        ~bytes:(net.total_bytes - bytes_before)
+        ~wall;
+    let after_max = Array.fold_left max net.into_driver net.into_node in
+    pending_max_into := max !pending_max_into (after_max - before_max);
+    let dt =
+      Costmodel.transfer_latency t.cfg.cost ~ser_bytes:ser
+        ~max_into:(after_max - before_max)
+    in
+    latency := !latency +. dt;
+    stats :=
+      {
+        sname = "transfer:" ^ tr.tname;
+        predicted = dt;
+        measured = wall;
+        sbytes = net.total_bytes - bytes_before;
+        swire;
+        spwire =
+          Costmodel.predicted_wire_bytes
+            ~crossings:(predicted_crossings t tr ~mesh)
+            ~workers:w ~ser_bytes:ser;
+        swalls = walls;
+        slinks = links;
+      }
+      :: !stats;
+    if Obs.tracing () then begin
+      Obs.set_attr "modeled_ms" (Printf.sprintf "%.6f" (dt *. 1e3));
+      Obs.set_attr "measured_ms" (Printf.sprintf "%.6f" (wall *. 1e3));
+      Obs.set_attr "bytes" (string_of_int (net.total_bytes - bytes_before))
+    end
+  in
   List.iter
     (fun nb ->
       match nb with
@@ -1170,58 +1471,9 @@ let apply_batch t ~rel batch =
               match it with
               | NDriver (lbl, slot, f) ->
                   Runtime.run_attributed t.driver ~label:lbl ~slot f
-              | NTransfer tr ->
+              | NTransfer (tr, p) ->
                   Obs.span ("transfer:" ^ tr.tname) (fun () ->
-                      let wall0 = Unix.gettimeofday () in
-                      let wire0 = t.wire in
-                      let bytes_before = net.total_bytes in
-                      let before_max =
-                        Array.fold_left max net.into_driver net.into_node
-                      in
-                      let mesh = mesh_eligible t tr in
-                      let ser, mwalls, mlinks_l =
-                        if mesh then run_transfer_mesh t net tr
-                        else (run_transfer t net tr, [||], [])
-                      in
-                      let wall = Unix.gettimeofday () -. wall0 in
-                      if Prof.enabled () then
-                        Prof.add tr.tslot ~ops:0 ~probes:0 ~misses:0 ~scanned:0
-                          ~svscan:0 ~svsel:0
-                          ~bytes:(net.total_bytes - bytes_before)
-                          ~wall;
-                      let after_max =
-                        Array.fold_left max net.into_driver net.into_node
-                      in
-                      pending_max_into :=
-                        max !pending_max_into (after_max - before_max);
-                      let dt =
-                        Costmodel.transfer_latency t.cfg.cost ~ser_bytes:ser
-                          ~max_into:(after_max - before_max)
-                      in
-                      latency := !latency +. dt;
-                      stats :=
-                        {
-                          sname = "transfer:" ^ tr.tname;
-                          predicted = dt;
-                          measured = wall;
-                          sbytes = net.total_bytes - bytes_before;
-                          swire = t.wire - wire0;
-                          spwire =
-                            Costmodel.predicted_wire_bytes
-                              ~crossings:(predicted_crossings t tr ~mesh)
-                              ~workers:w ~ser_bytes:ser;
-                          swalls = mwalls;
-                          slinks = mlinks_l;
-                        }
-                        :: !stats;
-                      if Obs.tracing () then begin
-                        Obs.set_attr "modeled_ms"
-                          (Printf.sprintf "%.6f" (dt *. 1e3));
-                        Obs.set_attr "measured_ms"
-                          (Printf.sprintf "%.6f" (wall *. 1e3));
-                        Obs.set_attr "bytes"
-                          (string_of_int (net.total_bytes - bytes_before))
-                      end))
+                      run_item_transfer tr p))
             items
       | BDist (bi, slot) ->
           incr stages;
@@ -1230,14 +1482,55 @@ let apply_batch t ~rel batch =
               let wall0 = Unix.gettimeofday () in
               let wire0 = t.wire in
               (* Broadcast, then barrier on every worker's reply — the
-                 workers execute their partitions genuinely in parallel. *)
-              Array.iteri
-                (fun wi _ -> send t wi (Protocol.Run_block (rel, bi)))
-                t.conns;
-              let replies = Array.init w (fun wi -> expect_done t wi) in
-              let wall = Unix.gettimeofday () -. wall0 in
-              let deltas = Array.map fst replies in
-              let walls = Array.map snd replies in
+                 workers execute their partitions genuinely in parallel,
+                 then exchange every hoisted mesh transfer directly. *)
+              let replies = stage bi in
+              let rt_wall = Unix.gettimeofday () -. wall0 in
+              let pd =
+                {
+                  pshuffles =
+                    Array.map
+                      (fun (r : Protocol.stage_reply) ->
+                        Array.of_list r.sr_shuffles)
+                      replies;
+                  pgathers =
+                    Array.map
+                      (fun (r : Protocol.stage_reply) ->
+                        Array.of_list r.sr_gathers)
+                      replies;
+                }
+              in
+              pending := Some pd;
+              (* The hoisted transfers' rows claim their own share of the
+                 round trip: each mesh transfer its slowest worker's
+                 wall, each gather its sections of the replies. *)
+              let nshuffles =
+                Array.fold_left (fun n a -> max n (Array.length a)) 0
+                  pd.pshuffles
+              in
+              let hoisted_wall = ref 0. in
+              for k = 0 to nshuffles - 1 do
+                hoisted_wall :=
+                  !hoisted_wall
+                  +. Array.fold_left
+                       (fun m a ->
+                         if k < Array.length a then
+                           Float.max m a.(k).Protocol.ss_wall
+                         else m)
+                       0. pd.pshuffles
+              done;
+              let gather_wire =
+                Array.fold_left
+                  (Array.fold_left (fun acc sec -> acc + section_bytes sec))
+                  0 pd.pgathers
+              in
+              let wall = Float.max 0. (rt_wall -. !hoisted_wall) in
+              let deltas =
+                Array.map (fun (r : Protocol.stage_reply) -> r.sr_ops) replies
+              in
+              let walls =
+                Array.map (fun (r : Protocol.stage_reply) -> r.sr_wall) replies
+              in
               let max_ops = ref 0 in
               Array.iteri
                 (fun wi d ->
@@ -1276,7 +1569,7 @@ let apply_batch t ~rel batch =
                   predicted = dt;
                   measured = wall;
                   sbytes = 0;
-                  swire = t.wire - wire0;
+                  swire = t.wire - wire0 - gather_wire;
                   spwire = 0;
                   swalls = walls;
                   slinks = [];
@@ -1287,12 +1580,12 @@ let apply_batch t ~rel batch =
                 Obs.set_attr "measured_ms" (Printf.sprintf "%.6f" (wall *. 1e3));
                 Obs.set_attr "max_worker_ops" (string_of_int !max_ops);
                 Obs.set_attr "workers" (string_of_int w)
-              end);
-          (* Ship the stage's telemetry right at the barrier (outside the
-             stage span, so pull traffic never pollutes stage wire/wall
-             accounting). *)
-          if t.telem_started then pull_telemetry t)
+              end))
     blocks;
+  (* Ship the batch's telemetry once, after the last stage (outside every
+     stage and transfer span, so pull traffic never pollutes their
+     wire/wall accounting). *)
+  if t.telem_started then pull_telemetry t;
   let driver_ops = Runtime.ops t.driver - driver_ops0 in
   let wall = Unix.gettimeofday () -. batch_wall0 in
   Obs.Counter.add m_bytes_shuffled net.total_bytes;
@@ -1311,6 +1604,7 @@ let apply_batch t ~rel batch =
     latency = !latency;
     wall;
     stages = !stages;
+    round_trips = t.round_trips - rt0;
     bytes_shuffled = net.total_bytes;
     wire_bytes = t.wire;
     max_worker_ops = !max_worker_ops;
@@ -1322,17 +1616,15 @@ let apply_batch t ~rel batch =
 
 let map_contents t name =
   if not t.alive then failwith "divm_node: engine is shut down";
-  match Loc.find t.dprog.locs name with
+  match t.loc name with
   | Loc.Local -> Runtime.map_contents t.driver name
   | Loc.Replicated ->
-      send t 0 (Protocol.Pull_map name);
-      expect_contents t 0
+      contents_of 0 (round_trip ~worker:0 t (fun _ -> Protocol.Pull_map name)).(0)
   | Loc.Dist _ | Loc.Random ->
-      Array.iteri (fun wi _ -> send t wi (Protocol.Pull_map name)) t.conns;
       let out = Gmr.create () in
       Array.iteri
-        (fun wi _ -> Gmr.union_into out (expect_contents t wi))
-        t.conns;
+        (fun wi m -> Gmr.union_into out (contents_of wi m))
+        (round_trip t (fun _ -> Protocol.Pull_map name));
       out
 
 let result t qname =

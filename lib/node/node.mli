@@ -14,15 +14,23 @@
     Execution is driven stage-by-stage from the same
     {!Divm_dist.Dprog.t} block structure the simulator executes: local
     blocks run compiled statements on the coordinator's driver runtime,
-    distributed blocks are broadcast as [Run_block] and barrier on every
-    worker's [Block_done], and transfers move re-partitioned shares
-    between partitions. Worker-to-worker transfers travel over a
+    and each distributed block costs exactly one coordinator round trip
+    — a [Stage] frame to every worker, one [Stage_done] reply each. A
+    static hoisting plan, derived identically on both ends from the
+    program, lets the workers run the following local block's mesh
+    transfers and gathers (each one that commutes with every statement
+    before it in that block) before they reply; the coordinator then
+    walks the local block in program order and folds each hoisted
+    item's reported stats and contents in at its own position. The
+    batch share rides on the first [Stage] frame. Worker-to-worker
+    transfers travel over a
     {!topology}: [Star] relays every payload byte through the coordinator
     (pull, re-partition, deliver — two socket hops per byte), [Mesh] (the
     default) ships them directly over an N×N worker connection mesh set
     up at [create] time, leaving the coordinator as the barrier/ack
-    control plane. Gathers and replicated-source transfers stay on the
-    star path under either setting. Workers compile the identical
+    control plane; a stage's hoisted mesh transfers share one exchange,
+    one frame per peer. Scatters from driver or replicated maps stay on
+    the star path under either setting. Workers compile the identical
     statements, shard identically, hash-partition identically, and apply
     received shuffle buffers in ascending source order, so stores are
     bit-identical to a {!Divm_cluster.Cluster} run of the same program
@@ -71,7 +79,11 @@ val config :
 val default_config : config
 
 (** One distributed stage or transfer of a batch: the cost model's
-    prediction next to what actually happened. *)
+    prediction next to what actually happened. A transfer hoisted into a
+    stage keeps its own row: [measured] is its slowest worker's share of
+    the stage's exchange (mesh) or the coordinator's fold of its
+    contents (gather), and [swire] the bytes of its own sections of the
+    combined frames; the stage's row keeps the rest of the round trip. *)
 type stage_stat = {
   sname : string;  (** ["stage:N"] or ["transfer:NAME"] *)
   predicted : float;  (** modeled seconds ({!Divm_dist.Costmodel}) *)
@@ -94,6 +106,11 @@ type metrics = {
   latency : float;  (** predicted end-to-end seconds (cost model) *)
   wall : float;  (** measured end-to-end seconds *)
   stages : int;
+  round_trips : int;
+      (** coordinator request/reply barriers this batch took — one per
+          {!Protocol.Stage}, [Pull_map] or [Deliver] broadcast, and per
+          worker telemetry pull when collection is armed; also summed in
+          [divm_node_round_trips_total] *)
   bytes_shuffled : int;  (** modeled payload bytes (simulator-comparable) *)
   wire_bytes : int;  (** actual bytes written to + read from sockets *)
   max_worker_ops : int;
@@ -123,8 +140,8 @@ val worker_pids : t -> int option list
 
     When {!Divm_obs.Obs.collection} is armed, the first such batch sends
     [Start_telemetry] (arming the workers' profiler/tracer to mirror the
-    coordinator's), and every distributed-stage barrier pulls a
-    [Telemetry] frame per worker: registry deltas merge into this
+    coordinator's), and every batch ends with one [Telemetry] pull per
+    worker: registry deltas merge into this
     process's registry under a [worker="i"] label, profiler slot rows
     merge with an ["@wI"] label suffix, and completed spans enter the
     merged Chrome trace under pid [i+2] with an NTP-style clock-offset

@@ -16,16 +16,19 @@ type shuffle_stat = {
   ss_wall : float;
 }
 
+type stage_reply = {
+  sr_ops : int;
+  sr_wall : float;
+  sr_shuffles : shuffle_stat list;
+  sr_gathers : string list;
+}
+
 type msg =
   | Hello of int
   | Init of string
-  | Load_batch of string * Gmr.t
-  | Run_block of string * int
-  | Block_done of int * float
   | Pull_map of string
   | Map_contents of Gmr.t
   | Deliver of string * Gmr.t
-  | Clear_map of string
   | Ack
   | Shutdown
   | Start_telemetry of bool * bool
@@ -33,9 +36,9 @@ type msg =
   | Telemetry of telem
   | Peers of string array
   | Mesh_connect
-  | Shuffle of int
-  | Shuffle_done of shuffle_stat
-  | Mesh_data of int * Gmr.t
+  | Mesh_data of int * string list
+  | Stage of string * int * Gmr.t option
+  | Stage_done of stage_reply
 
 exception Error of string
 
@@ -224,16 +227,15 @@ let add_gmr b g =
       Buffer.add_uint8 b 0;
       add_rows b g
 
+(* Tags 3-5, 9, 17 and 18 belonged to the per-transfer frames the stage
+   frame replaced; they stay unassigned, so a peer speaking that
+   protocol fails with "unknown message tag" instead of being misread. *)
 let tag_of = function
   | Hello _ -> 1
   | Init _ -> 2
-  | Load_batch _ -> 3
-  | Run_block _ -> 4
-  | Block_done _ -> 5
   | Pull_map _ -> 6
   | Map_contents _ -> 7
   | Deliver _ -> 8
-  | Clear_map _ -> 9
   | Ack -> 10
   | Shutdown -> 11
   | Start_telemetry _ -> 12
@@ -241,11 +243,9 @@ let tag_of = function
   | Telemetry _ -> 14
   | Peers _ -> 15
   | Mesh_connect -> 16
-  | Shuffle _ -> 17
-  | Shuffle_done _ -> 18
   | Mesh_data _ -> 19
-
-let max_tag = 19
+  | Stage _ -> 20
+  | Stage_done _ -> 21
 
 (* Names for diagnostics only: a malformed frame's error message cites
    the message it claimed to be, so a bad peer is debuggable from the
@@ -253,13 +253,9 @@ let max_tag = 19
 let tag_name = function
   | 1 -> "Hello"
   | 2 -> "Init"
-  | 3 -> "Load_batch"
-  | 4 -> "Run_block"
-  | 5 -> "Block_done"
   | 6 -> "Pull_map"
   | 7 -> "Map_contents"
   | 8 -> "Deliver"
-  | 9 -> "Clear_map"
   | 10 -> "Ack"
   | 11 -> "Shutdown"
   | 12 -> "Start_telemetry"
@@ -267,27 +263,77 @@ let tag_name = function
   | 14 -> "Telemetry"
   | 15 -> "Peers"
   | 16 -> "Mesh_connect"
-  | 17 -> "Shuffle"
-  | 18 -> "Shuffle_done"
   | 19 -> "Mesh_data"
+  | 20 -> "Stage"
+  | 21 -> "Stage_done"
   | _ -> "unknown"
 
-let encode m =
+(* One per hoisted transfer in every stage reply: the per-peer byte
+   counts are bounded by max_frame, so they ship as i32, not i64 — at w
+   workers that is 8w fewer bytes per transfer. *)
+let add_shuffle_stat b st =
+  add_i64 b st.ss_ser;
+  add_count b (Array.length st.ss_modeled);
+  Array.iter (fun v -> Buffer.add_int32_be b (Int32.of_int v)) st.ss_modeled;
+  add_count b (Array.length st.ss_sent);
+  Array.iter (fun v -> Buffer.add_int32_be b (Int32.of_int v)) st.ss_sent;
+  add_f64 b st.ss_wall
+
+let add_sections b secs =
+  add_count b (List.length secs);
+  List.iter (add_string b) secs
+
+let encode_gmr g =
   let b = Buffer.create 256 in
+  add_gmr b g;
+  Buffer.contents b
+
+(* A frame is encoded in place behind a 4-byte placeholder, which
+   [seal] patches with the payload length: one buffer, one final copy. *)
+let seal b =
+  let n = Buffer.length b - 4 in
+  if n > max_frame then begin
+    let tag = Char.code (Buffer.nth b 4) in
+    err "%s frame (tag %d) of %d bytes exceeds max_frame %d" (tag_name tag)
+      tag n max_frame
+  end;
+  let f = Buffer.to_bytes b in
+  Bytes.set_int32_be f 0 (Int32.of_int n);
+  Bytes.unsafe_to_string f
+
+(* A [Mesh_data] frame built section by section, straight into the
+   frame buffer: a stage's per-peer buffers can be dropped as soon as
+   they are encoded, and no section is copied through an intermediate
+   string. *)
+type mesh_frame = { mf : Buffer.t; mscratch : Buffer.t }
+
+let mesh_frame_header = 13 (* length prefix, tag, source id, section count *)
+
+let mesh_frame ~src ~sections =
+  let mf = Buffer.create 256 in
+  Buffer.add_int32_be mf 0l;
+  Buffer.add_uint8 mf (tag_of (Mesh_data (src, [])));
+  Buffer.add_int32_be mf (Int32.of_int src);
+  add_count mf sections;
+  { mf; mscratch = Buffer.create 256 }
+
+let add_mesh_section f g =
+  Buffer.clear f.mscratch;
+  add_gmr f.mscratch g;
+  let n = Buffer.length f.mscratch in
+  if n > max_frame then err "mesh section of %d bytes exceeds max_frame" n;
+  Buffer.add_int32_be f.mf (Int32.of_int n);
+  Buffer.add_buffer f.mf f.mscratch;
+  4 + n
+
+let finish_mesh_frame f = seal f.mf
+
+let encode_into b m =
   Buffer.add_uint8 b (tag_of m);
   (match m with
   | Hello wid -> Buffer.add_int32_be b (Int32.of_int wid)
   | Init s -> add_string b s
-  | Load_batch (rel, g) ->
-      add_string b rel;
-      add_gmr b g
-  | Run_block (rel, bi) ->
-      add_string b rel;
-      Buffer.add_int32_be b (Int32.of_int bi)
-  | Block_done (ops, wall) ->
-      Buffer.add_int64_be b (Int64.of_int ops);
-      add_f64 b wall
-  | Pull_map name | Clear_map name -> add_string b name
+  | Pull_map name -> add_string b name
   | Map_contents g -> add_gmr b g
   | Deliver (name, g) ->
       add_string b name;
@@ -300,20 +346,27 @@ let encode m =
   | Peers paths ->
       add_count b (Array.length paths);
       Array.iter (add_string b) paths
-  | Shuffle idx -> Buffer.add_int32_be b (Int32.of_int idx)
-  | Shuffle_done st ->
-      (* control-plane reply on the hot per-transfer path: the per-peer
-         byte counts are bounded by max_frame, so they ship as i32, not
-         i64 — at w workers that is 8w fewer bytes on every transfer *)
-      add_i64 b st.ss_ser;
-      add_count b (Array.length st.ss_modeled);
-      Array.iter (fun v -> Buffer.add_int32_be b (Int32.of_int v)) st.ss_modeled;
-      add_count b (Array.length st.ss_sent);
-      Array.iter (fun v -> Buffer.add_int32_be b (Int32.of_int v)) st.ss_sent;
-      add_f64 b st.ss_wall
-  | Mesh_data (src, g) ->
+  | Mesh_data (src, secs) ->
       Buffer.add_int32_be b (Int32.of_int src);
-      add_gmr b g);
+      add_sections b secs
+  | Stage (rel, bi, share) -> (
+      add_string b rel;
+      Buffer.add_int32_be b (Int32.of_int bi);
+      match share with
+      | None -> Buffer.add_uint8 b 0
+      | Some g ->
+          Buffer.add_uint8 b 1;
+          add_gmr b g)
+  | Stage_done r ->
+      add_i64 b r.sr_ops;
+      add_f64 b r.sr_wall;
+      add_count b (List.length r.sr_shuffles);
+      List.iter (add_shuffle_stat b) r.sr_shuffles;
+      add_sections b r.sr_gathers)
+
+let encode m =
+  let b = Buffer.create 256 in
+  encode_into b m;
   Buffer.contents b
 
 (* -------------------------------------------------------------- *)
@@ -536,10 +589,21 @@ let get_shuffle_stat r =
   let ss_wall = get_f64 r in
   { ss_ser; ss_modeled; ss_sent; ss_wall }
 
+let get_sections r what =
+  let n = get_count r what in
+  List.init n (fun _ -> get_string r)
+
+let decode_gmr s =
+  let r = { buf = s; pos = 0 } in
+  let g = get_gmr r in
+  if r.pos <> String.length s then
+    err "gmr section: %d trailing bytes" (String.length s - r.pos);
+  g
+
 let decode s =
   let r = { buf = s; pos = 0 } in
   let tag = get_u8 r in
-  if tag < 1 || tag > max_tag then err "unknown message tag %d" tag;
+  if tag_name tag = "unknown" then err "unknown message tag %d" tag;
   let m =
     (* Re-raise field-level defects with the frame's identity attached:
        which message it claimed to be and how long the payload actually
@@ -548,21 +612,11 @@ let decode s =
       match tag with
       | 1 -> Hello (get_i32 r)
       | 2 -> Init (get_string r)
-      | 3 ->
-          let rel = get_string r in
-          Load_batch (rel, get_gmr r)
-      | 4 ->
-          let rel = get_string r in
-          Run_block (rel, get_i32 r)
-      | 5 ->
-          let ops = Int64.to_int (get_i64 r) in
-          Block_done (ops, get_f64 r)
       | 6 -> Pull_map (get_string r)
       | 7 -> Map_contents (get_gmr r)
       | 8 ->
           let name = get_string r in
           Deliver (name, get_gmr r)
-      | 9 -> Clear_map (get_string r)
       | 10 -> Ack
       | 11 -> Shutdown
       | 12 ->
@@ -574,15 +628,23 @@ let decode s =
           let n = get_count r "peer" in
           Peers (Array.init n (fun _ -> get_string r))
       | 16 -> Mesh_connect
-      | 17 ->
-          let idx = get_i32 r in
-          if idx < 0 then err "negative transfer index %d" idx;
-          Shuffle idx
-      | 18 -> Shuffle_done (get_shuffle_stat r)
       | 19 ->
           let src = get_i32 r in
           if src < 0 then err "negative mesh source id %d" src;
-          Mesh_data (src, get_gmr r)
+          Mesh_data (src, get_sections r "mesh section")
+      | 20 ->
+          let rel = get_string r in
+          let bi = get_i32 r in
+          if bi < 0 then err "negative block index %d" bi;
+          let share = if get_bool r "share" then Some (get_gmr r) else None in
+          Stage (rel, bi, share)
+      | 21 ->
+          let sr_ops = get_nonneg r "op count" in
+          let sr_wall = get_f64 r in
+          let ns = get_count r "shuffle stat" in
+          let sr_shuffles = List.init ns (fun _ -> get_shuffle_stat r) in
+          let sr_gathers = get_sections r "gather section" in
+          Stage_done { sr_ops; sr_wall; sr_shuffles; sr_gathers }
       | _ -> assert false
     with Error msg ->
       err "bad %s frame (tag %d, %d-byte payload): %s" (tag_name tag) tag
@@ -599,15 +661,10 @@ let decode s =
 (* -------------------------------------------------------------- *)
 
 let encode_frame m =
-  let payload = encode m in
-  let n = String.length payload in
-  if n > max_frame then
-    err "%s frame (tag %d) of %d bytes exceeds max_frame %d"
-      (tag_name (tag_of m)) (tag_of m) n max_frame;
-  let b = Buffer.create (n + 4) in
-  Buffer.add_int32_be b (Int32.of_int n);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let b = Buffer.create 256 in
+  Buffer.add_int32_be b 0l;
+  encode_into b m;
+  seal b
 
 (* When enough bytes follow a bad length prefix, cite the would-be tag:
    a frame-cap trip usually means desynced framing, and the byte where

@@ -2472,6 +2472,7 @@ let load rt tables =
     rt.prog.maps
 
 let map_contents rt name = Pool.to_gmr (pool rt name)
+let iter_map rt name f = Pool.foreach (pool rt name) f
 
 let result rt qname =
   match List.assoc_opt qname rt.prog.queries with

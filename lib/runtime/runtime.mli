@@ -89,6 +89,11 @@ val load : t -> (string * Gmr.t) list -> unit
 (** Fresh snapshot of a map. *)
 val map_contents : t -> string -> Gmr.t
 
+(** [iter_map rt name f] applies [f] to every entry of the map in slot
+    order — the order {!map_contents}'s snapshot iterates in — without
+    copying it. [f] must not modify the map. *)
+val iter_map : t -> string -> (Vtuple.t -> float -> unit) -> unit
+
 val result : t -> string -> Gmr.t
 
 (** Elementary record operations executed since last reset.

@@ -157,16 +157,25 @@ let gen_msg =
         (1, map (fun i -> Protocol.Hello i) (int_range 0 100));
         (1, map (fun s -> Protocol.Init s) (string_size (int_range 0 64)));
         ( 3,
-          map2 (fun r g -> Protocol.Load_batch (r, g)) gen_name gen_gmr );
-        (1, map2 (fun r i -> Protocol.Run_block (r, i)) gen_name (int_range 0 50));
-        ( 1,
-          map2
-            (fun i w -> Protocol.Block_done (i, w))
-            (int_range 0 1_000_000) gen_f );
+          map3
+            (fun r i g -> Protocol.Stage (r, i, g))
+            gen_name (int_range 0 50) (opt gen_gmr) );
+        ( 2,
+          map3
+            (fun (ops, wall) shuffles gathers ->
+              Protocol.Stage_done
+                {
+                  Protocol.sr_ops = ops;
+                  sr_wall = wall;
+                  sr_shuffles = shuffles;
+                  sr_gathers = List.map Protocol.encode_gmr gathers;
+                })
+            (pair (int_range 0 1_000_000) gen_f)
+            (list_size (int_range 0 3) gen_shuffle_stat)
+            (list_size (int_range 0 3) gen_gmr) );
         (1, map (fun m -> Protocol.Pull_map m) gen_name);
         (3, map (fun g -> Protocol.Map_contents g) gen_gmr);
         (3, map2 (fun m g -> Protocol.Deliver (m, g)) gen_name gen_gmr);
-        (1, map (fun m -> Protocol.Clear_map m) gen_name);
         (1, return Protocol.Ack);
         (1, return Protocol.Shutdown);
         ( 1,
@@ -180,12 +189,12 @@ let gen_msg =
             (fun ps -> Protocol.Peers (Array.of_list ps))
             (list_size (int_range 0 4) gen_name) );
         (1, return Protocol.Mesh_connect);
-        (1, map (fun i -> Protocol.Shuffle i) (int_range 0 1000));
-        (1, map (fun st -> Protocol.Shuffle_done st) gen_shuffle_stat);
         ( 2,
           map2
-            (fun src g -> Protocol.Mesh_data (src, g))
-            (int_range 0 8) gen_gmr );
+            (fun src gs ->
+              Protocol.Mesh_data (src, List.map Protocol.encode_gmr gs))
+            (int_range 0 8)
+            (list_size (int_range 0 3) gen_gmr) );
       ])
 
 (* Bit-exact multiset equality: same tuples (values compared structurally,
@@ -237,22 +246,40 @@ let telem_equal (a : Protocol.telem) (b : Protocol.telem) =
   && List.length a.t_spans = List.length b.t_spans
   && List.for_all2 event_equal a.t_spans b.t_spans
 
+let shuffle_stat_equal (st1 : Protocol.shuffle_stat) (st2 : Protocol.shuffle_stat) =
+  st1.ss_ser = st2.ss_ser
+  && st1.ss_modeled = st2.ss_modeled
+  && st1.ss_sent = st2.ss_sent
+  && fbits_equal st1.ss_wall st2.ss_wall
+
+(* Sections must decode to the same GMR as well as match byte for byte. *)
+let sections_equal s1 s2 =
+  s1 = s2
+  && List.for_all2
+       (fun a b -> gmr_bits_equal (Protocol.decode_gmr a) (Protocol.decode_gmr b))
+       s1 s2
+
 let msg_equal (a : Protocol.msg) (b : Protocol.msg) =
   match (a, b) with
-  | Protocol.Load_batch (r1, g1), Protocol.Load_batch (r2, g2)
   | Protocol.Deliver (r1, g1), Protocol.Deliver (r2, g2) ->
       String.equal r1 r2 && gmr_bits_equal g1 g2
   | Protocol.Map_contents g1, Protocol.Map_contents g2 -> gmr_bits_equal g1 g2
-  | Protocol.Block_done (o1, w1), Protocol.Block_done (o2, w2) ->
-      o1 = o2 && fbits_equal w1 w2
+  | Protocol.Stage (r1, i1, g1), Protocol.Stage (r2, i2, g2) -> (
+      String.equal r1 r2 && i1 = i2
+      &&
+      match (g1, g2) with
+      | None, None -> true
+      | Some g1, Some g2 -> gmr_bits_equal g1 g2
+      | _ -> false)
+  | Protocol.Stage_done r1, Protocol.Stage_done r2 ->
+      r1.sr_ops = r2.sr_ops
+      && fbits_equal r1.sr_wall r2.sr_wall
+      && List.length r1.sr_shuffles = List.length r2.sr_shuffles
+      && List.for_all2 shuffle_stat_equal r1.sr_shuffles r2.sr_shuffles
+      && sections_equal r1.sr_gathers r2.sr_gathers
   | Protocol.Telemetry t1, Protocol.Telemetry t2 -> telem_equal t1 t2
   | Protocol.Mesh_data (s1, g1), Protocol.Mesh_data (s2, g2) ->
-      s1 = s2 && gmr_bits_equal g1 g2
-  | Protocol.Shuffle_done st1, Protocol.Shuffle_done st2 ->
-      st1.ss_ser = st2.ss_ser
-      && st1.ss_modeled = st2.ss_modeled
-      && st1.ss_sent = st2.ss_sent
-      && fbits_equal st1.ss_wall st2.ss_wall
+      s1 = s2 && sections_equal g1 g2
   | a, b -> a = b
 
 let qcheck_codec_roundtrip =
@@ -293,6 +320,12 @@ let qcheck_codec_truncated =
           (Printf.sprintf "prefix of %d/%d bytes" cut n)
           (fun () -> Protocol.decode_frame (String.sub frame 0 cut))
       done;
+      (* Tag 9 (the former Clear_map) is unassigned: the same frame
+         re-tagged 9 decodes as unknown. *)
+      let retagged = Bytes.of_string frame in
+      Bytes.set retagged 4 '\x09';
+      expect_error "frame re-tagged 9" (fun () ->
+          Protocol.decode_frame (Bytes.to_string retagged));
       true)
 
 let test_codec_malformed () =
@@ -430,48 +463,93 @@ let expect_error_with name substrings f =
    produce, and every field-level failure cites the frame's claimed tag
    and payload length — debuggable from the exception alone. *)
 let test_codec_mesh_strict () =
-  (* Negative transfer index: the i32 right after the tag byte. *)
-  let shuffle = Protocol.encode (Protocol.Shuffle 3) in
-  let neg_idx = Bytes.of_string shuffle in
-  Bytes.set neg_idx 1 '\xff';
-  expect_error_with "negative transfer index"
-    [ "Shuffle"; "tag 17"; "negative transfer index" ]
+  (* Negative block index: the i32 after the tag byte and the relation
+     string (length prefix + one byte). *)
+  let stage = Protocol.encode (Protocol.Stage ("R", 3, None)) in
+  let neg_idx = Bytes.of_string stage in
+  Bytes.set neg_idx 6 '\xff';
+  expect_error_with "negative block index"
+    [ "Stage"; "tag 20"; "negative block index" ]
     (fun () -> Protocol.decode (Bytes.to_string neg_idx));
   (* Negative mesh source id: the i32 right after the tag byte. *)
-  let md = Protocol.encode (Protocol.Mesh_data (0, Gmr.create ())) in
+  let md = Protocol.encode (Protocol.Mesh_data (0, [])) in
   let neg_src = Bytes.of_string md in
   Bytes.set neg_src 1 '\xff';
   expect_error_with "negative mesh source id"
     [ "Mesh_data"; "tag 19"; "negative mesh source id" ]
     (fun () -> Protocol.decode (Bytes.to_string neg_src));
-  (* Negative serialized byte count: the i64 right after the tag byte. *)
+  (* Negative serialized byte count of a hoisted transfer's stat: layout
+     is tag(1) + ops i64(8) + wall f64(8) + stat count(4), then the
+     stat's i64 serialized byte count. *)
   let sd =
     Protocol.encode
-      (Protocol.Shuffle_done
+      (Protocol.Stage_done
          {
-           Protocol.ss_ser = 1;
-           ss_modeled = [| 2 |];
-           ss_sent = [| 3 |];
-           ss_wall = 0.;
+           Protocol.sr_ops = 0;
+           sr_wall = 0.;
+           sr_shuffles =
+             [
+               {
+                 Protocol.ss_ser = 1;
+                 ss_modeled = [| 2 |];
+                 ss_sent = [| 3 |];
+                 ss_wall = 0.;
+               };
+             ];
+           sr_gathers = [];
          })
   in
   let neg_ser = Bytes.of_string sd in
-  Bytes.set neg_ser 1 '\xff';
+  Bytes.set neg_ser 21 '\xff';
   expect_error_with "negative serialized byte count"
-    [ "Shuffle_done"; "tag 18"; "negative" ]
+    [ "Stage_done"; "tag 21"; "negative" ]
     (fun () -> Protocol.decode (Bytes.to_string neg_ser));
-  (* Negative modeled byte count: the per-peer arrays ride as i32;
-     layout is tag(1) + ser i64(8) + count(4), then the first entry. *)
+  (* Negative modeled byte count: the per-peer arrays ride as i32, after
+     the stat's ser i64(8) and the array count(4). *)
   let neg_modeled = Bytes.of_string sd in
-  Bytes.set neg_modeled 13 '\xff';
+  Bytes.set neg_modeled 33 '\xff';
   expect_error_with "negative modeled byte count"
-    [ "Shuffle_done"; "tag 18"; "negative modeled byte count" ]
+    [ "Stage_done"; "tag 21"; "negative modeled byte count" ]
     (fun () -> Protocol.decode (Bytes.to_string neg_modeled));
   (* Truncation inside a payload names the claimed message and its
      actual length. *)
-  expect_error_with "truncated Shuffle payload"
-    [ "Shuffle"; "tag 17" ]
-    (fun () -> Protocol.decode (String.sub shuffle 0 (String.length shuffle - 1)));
+  expect_error_with "truncated Stage payload"
+    [ "Stage"; "tag 20" ]
+    (fun () -> Protocol.decode (String.sub stage 0 (String.length stage - 1)));
+  (* A Mesh_data frame built section by section is the frame the
+     message encoder produces, and its sections' byte counts plus the
+     header add up to the whole frame. *)
+  let gs =
+    List.init 3 (fun k ->
+        let g = Gmr.create () in
+        for i = 0 to k * 5 do
+          Gmr.add g [| Value.Int i; Value.String "x" |] (float_of_int (i + 1))
+        done;
+        g)
+  in
+  let f = Protocol.mesh_frame ~src:1 ~sections:3 in
+  let sizes = List.map (Protocol.add_mesh_section f) gs in
+  let frame = Protocol.finish_mesh_frame f in
+  Alcotest.(check string) "incremental Mesh_data frame = encoded message"
+    (Protocol.encode_frame
+       (Protocol.Mesh_data (1, List.map Protocol.encode_gmr gs)))
+    frame;
+  Alcotest.(check int) "sections + header = frame"
+    (String.length frame)
+    (Protocol.mesh_frame_header + List.fold_left ( + ) 0 sizes);
+  (* A section that does not decode as exactly one GMR is rejected when
+     it is applied. *)
+  expect_error "gmr section with trailing bytes" (fun () ->
+      Protocol.decode_gmr (Protocol.encode_gmr (Gmr.create ()) ^ "\x00"));
+  (* The tags of the per-transfer frames the stage frame replaced are
+     unassigned: they decode as unknown, whatever follows. *)
+  List.iter
+    (fun tag ->
+      expect_error_with
+        (Printf.sprintf "retired tag %d" tag)
+        [ Printf.sprintf "unknown message tag %d" tag ]
+        (fun () -> Protocol.decode (String.make 1 (Char.chr tag) ^ stage)))
+    [ 3; 4; 5; 9; 17; 18 ];
   (* A frame-cap violation cites the declared length and the would-be
      tag byte of the garbage that follows. *)
   let oversized =
@@ -656,10 +734,11 @@ let qcheck_star_mesh_equiv =
             Alcotest.failf "%dw: no mesh transfer wire traffic at all" workers;
           (* The acceptance bar, aggregated over the suite: at 2 workers
              mesh stays at or under 0.6x star even at this miniature
-             scale. At 4 workers the per-transfer control floors
-             (4 Shuffle + 4 Shuffle_done + 12 Mesh_data frames vs star's
-             pull/deliver round trips) are a larger share of these tiny
-             payloads, so the 0.6x bound belongs to benched scales (the
+             scale. At 4 workers the per-peer section floors (a length
+             prefix and an empty-GMR header in each of 12 Mesh_data
+             frames per transfer, vs star's pull/deliver round trips)
+             are a larger share of these tiny payloads, so the 0.6x
+             bound belongs to benched scales (the
              CI smoke job enforces it there) — here mesh must still be
              strictly cheaper. *)
           if workers = 2 && !mesh_tw * 10 > !star_tw * 6 then
@@ -1021,6 +1100,330 @@ let test_worker_death_report () =
             true (contains msg "signaled")
       | () -> Alcotest.fail "batches kept succeeding with a dead worker")
 
+(* ------------------------------------------------------------------ *)
+(* One coordinator round trip per distributed stage                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The benchmark's combined program: Q3, Q7 and Q17 maintained by one
+   engine. Its lineitem and orders triggers hoist every transfer into a
+   stage; customer, supplier and nation also scatter driver-resident
+   maps, which stay on the star path. *)
+let combined_workload () =
+  let ws = List.map Workload.find [ "Q3"; "Q7"; "Q17" ] in
+  {
+    (List.hd ws) with
+    Workload.wname = "Q3+Q7+Q17";
+    maps = List.concat_map (fun w -> w.Workload.maps) ws;
+  }
+
+(* Transfers out of driver maps: the items the hoisting plan leaves on
+   the star path under the mesh topology, one [Deliver] round trip each
+   (a delivery replaces its destination, so no clear precedes it). *)
+let driver_sourced_transfers (dp : Divm_dist.Dprog.t) rel =
+  let tr = Divm_dist.Dprog.find_trigger dp rel in
+  List.fold_left
+    (fun n (b : Divm_dist.Dprog.block) ->
+      List.fold_left
+        (fun n d ->
+          match d with
+          | Divm_dist.Dprog.Transfer { source; _ }
+            when Divm_dist.Loc.find dp.locs source = Divm_dist.Loc.Local ->
+              n + 1
+          | _ -> n)
+        n b.bstmts)
+    0 tr.blocks
+
+let test_round_trips_per_stage () =
+  let w = combined_workload () in
+  let stream =
+    Tpch.Gen.stream { Tpch.Gen.scale = 0.02; seed = 3 } ~batch_size:250
+  in
+  let eng =
+    Engine.create
+      ~config:
+        (Engine.config
+           ~backend:(Engine.Multiprocess (Node.config ~workers:2 ()))
+           ())
+      w
+  in
+  let dp = Option.get (Engine.dprog eng) in
+  let base = Obs.snapshot () in
+  let reports =
+    Fun.protect
+      ~finally:(fun () -> Engine.shutdown eng)
+      (fun () -> List.map (fun (rel, b) -> Engine.apply_batch eng ~rel b) stream)
+  in
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun (r : Engine.report) ->
+      Hashtbl.replace seen r.relation ();
+      let _, stages = Divm_dist.Dprog.jobs_and_stages dp r.relation in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: stage count" r.relation)
+        stages r.stages;
+      let expected =
+        match r.relation with
+        | "lineitem" | "orders" -> 4
+        | rel -> stages + driver_sourced_transfers dp rel
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: round trips per batch" r.relation)
+        expected r.round_trips)
+    reports;
+  List.iter
+    (fun rel ->
+      if not (Hashtbl.mem seen rel) then
+        Alcotest.failf "stream has no %s batch" rel)
+    [ "lineitem"; "orders"; "customer"; "supplier"; "nation" ];
+  Alcotest.(check (list int))
+    "unhoisted items on customer, supplier and nation" [ 2; 3; 2 ]
+    (List.map (driver_sourced_transfers dp) [ "customer"; "supplier"; "nation" ]);
+  (* The registry counter saw exactly the batches' barriers (plus the
+     final reads' and teardown's, none of which ran here but the
+     shutdown, which is not a counted barrier). *)
+  let diff = Obs.diff ~later:(Obs.snapshot ()) ~earlier:base in
+  Alcotest.(check int) "divm_node_round_trips_total sums the batches"
+    (List.fold_left (fun n (r : Engine.report) -> n + r.round_trips) 0 reports)
+    (Obs.counter_value diff "divm_node_round_trips_total");
+  let json = Engine.reconcile_json reports in
+  let lineitem = List.filter (fun (r : Engine.report) -> r.relation = "lineitem") reports in
+  let n = List.length lineitem in
+  Alcotest.(check bool) "stage json carries the lineitem batch row" true
+    (contains json
+       (Printf.sprintf
+          "\"name\": \"batch:lineitem\", \"batches\": %d" n));
+  Alcotest.(check bool) "lineitem batch row: one round trip per stage" true
+    (contains json
+       (Printf.sprintf "\"stages\": %d, \"round_trips\": %d" (4 * n) (4 * n)))
+
+let fbits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Stores bit-identical to the simulator on the combined program at 2
+   and 4 workers under both topologies, with modeled latency equal as
+   IEEE-754 bits, equal stage counts, and per-row modeled bytes and
+   predictions equal between the topologies: hoisting moves where work
+   runs, never what it computes or what the model charges. *)
+let qcheck_combined_equiv =
+  let arb = QCheck.(make ~print:Print.int Gen.(int_range 0 10_000)) in
+  QCheck.Test.make
+    ~name:"Q3+Q7+Q17 star and mesh bit-identical to simulator at 2 and 4 workers"
+    ~count:1 arb
+    (fun seed ->
+      let w = combined_workload () in
+      let prog = Workload.compile w in
+      let dp = Workload.distribute w prog in
+      let stream =
+        Tpch.Gen.stream { Tpch.Gen.scale = 0.02; seed } ~batch_size:250
+      in
+      List.iter
+        (fun workers ->
+          let sim =
+            Cluster.create ~config:(Cluster.config ~workers ()) ~domains:1 dp
+          in
+          let star =
+            Node.create ~config:(Node.config ~workers ~shuffle:Node.Star ()) dp
+          in
+          let mesh =
+            Node.create ~config:(Node.config ~workers ~shuffle:Node.Mesh ()) dp
+          in
+          Fun.protect
+            ~finally:(fun () ->
+              Node.shutdown star;
+              Node.shutdown mesh)
+            (fun () ->
+              List.iter
+                (fun (rel, b) ->
+                  let ms = Cluster.apply_batch sim ~rel b in
+                  let mst = Node.apply_batch star ~rel b in
+                  let mme = Node.apply_batch mesh ~rel b in
+                  List.iter
+                    (fun (which, (mn : Node.metrics)) ->
+                      if not (fbits ms.Cluster.latency mn.Node.latency) then
+                        Alcotest.failf
+                          "%dw/%s/%s: modeled latency not bit-equal: %h vs %h"
+                          workers which rel mn.Node.latency ms.Cluster.latency;
+                      if ms.Cluster.stages <> mn.Node.stages then
+                        Alcotest.failf "%dw/%s/%s: stage counts diverge" workers
+                          which rel;
+                      if ms.Cluster.bytes_shuffled <> mn.Node.bytes_shuffled
+                      then
+                        Alcotest.failf "%dw/%s/%s: modeled bytes diverge"
+                          workers which rel)
+                    [ ("star", mst); ("mesh", mme) ];
+                  let rows (m : Node.metrics) =
+                    List.map
+                      (fun (s : Node.stage_stat) ->
+                        (s.sname, s.sbytes, Int64.bits_of_float s.predicted))
+                      m.stage_stats
+                  in
+                  if rows mst <> rows mme then
+                    Alcotest.failf
+                      "%dw/%s: per-row modeled bytes or predictions differ \
+                       between star and mesh"
+                      workers rel)
+                stream;
+              List.iter
+                (fun (m : Divm_compiler.Prog.map_decl) ->
+                  if m.mkind <> Divm_compiler.Prog.Transient then begin
+                    let gs = Cluster.map_contents sim m.mname in
+                    if not (gmr_bits_equal gs (Node.map_contents star m.mname))
+                    then
+                      Alcotest.failf "%dw: store %s differs simulator vs star"
+                        workers m.mname;
+                    if not (gmr_bits_equal gs (Node.map_contents mesh m.mname))
+                    then
+                      Alcotest.failf "%dw: store %s differs simulator vs mesh"
+                        workers m.mname
+                  end)
+                prog.Divm_compiler.Prog.maps))
+        [ 2; 4 ];
+      true)
+
+(* The commute rule at work: with a gather of a repartition's
+   destination placed just before that repartition, the gather must see
+   the destination as it was, so the repartition (which writes what an
+   earlier statement reads) may not be hoisted into the stage, where
+   the worker would run it before packing the gather. It stays on the
+   star path at its position (a [Pull_map] and a [Deliver]); the gather
+   itself is hoisted. The gathered transient must match the simulator's
+   after every batch. *)
+let test_commute_keeps_transfer_in_place () =
+  let module Dprog = Divm_dist.Dprog in
+  let w = Workload.find "Q3" in
+  let dp = Workload.distribute w (Workload.compile w) in
+  let rel = "customer" in
+  let probe = "test_gather_of_repart" in
+  let inserted = ref None in
+  let blocks =
+    List.map
+      (fun (b : Dprog.block) ->
+        if !inserted <> None then b
+        else
+          let stmts =
+            List.concat_map
+              (fun d ->
+                match d with
+                | Dprog.Transfer { tname; tkind = Dprog.Repart; _ }
+                  when !inserted = None ->
+                    inserted := Some tname;
+                    [
+                      Dprog.Transfer
+                        {
+                          tname = probe;
+                          tkind = Dprog.Gather;
+                          key = [||];
+                          source = tname;
+                        };
+                      d;
+                    ]
+                | d -> [ d ])
+              b.bstmts
+          in
+          { b with bstmts = stmts })
+      (Dprog.find_trigger dp rel).blocks
+  in
+  let source = Option.get !inserted in
+  let decl =
+    List.find
+      (fun (m : Divm_compiler.Prog.map_decl) -> m.mname = source)
+      dp.base.maps
+  in
+  let dp =
+    {
+      Dprog.base =
+        { dp.base with maps = dp.base.maps @ [ { decl with mname = probe } ] };
+      locs = (probe, Divm_dist.Loc.Local) :: dp.locs;
+      dtriggers =
+        List.map
+          (fun (tr : Dprog.dtrigger) ->
+            if tr.drelation = rel then { tr with blocks } else tr)
+          dp.dtriggers;
+    }
+  in
+  let _, stages = Dprog.jobs_and_stages dp rel in
+  let sim = Cluster.create ~config:(Cluster.config ~workers:2 ()) ~domains:1 dp in
+  let node = Node.create ~config:(Node.config ~workers:2 ()) dp in
+  let stream =
+    Tpch.Gen.stream { Tpch.Gen.scale = 0.2; seed = 7 } ~batch_size:100
+  in
+  let nonempty = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> Node.shutdown node)
+    (fun () ->
+      List.iter
+        (fun (r, b) ->
+          ignore (Cluster.apply_batch sim ~rel:r b);
+          let m = Node.apply_batch node ~rel:r b in
+          if r = rel then begin
+            (* stages + the delta's scatter out of the driver + the
+               repartition's pull and delivery *)
+            Alcotest.(check int) "customer round trips" (stages + 3)
+              m.Node.round_trips;
+            if
+              not
+                (gmr_bits_equal
+                   (Cluster.map_contents sim probe)
+                   (Node.map_contents node probe))
+            then Alcotest.fail "gather saw the repartition that follows it";
+            if Gmr.cardinal (Cluster.map_contents sim source) > 0 then
+              incr nonempty
+          end)
+        stream);
+  (* the check only bites when the repartition moves something *)
+  Alcotest.(check bool) "some customer batch repartitions a nonempty delta"
+    true (!nonempty > 0)
+
+(* Q7 moves most of its data over the mesh inside stage frames: a
+   worker SIGKILLed between batches must fail the next batch with a
+   diagnosis naming it — promptly, not at the 120 s socket deadline —
+   and teardown must leave no child process or socket file. *)
+let test_worker_death_mesh () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "divm_death_%d" (Unix.getpid ()))
+  in
+  (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let stream =
+    Tpch.Gen.stream { Tpch.Gen.scale = 0.02; seed = 4 } ~batch_size:250
+  in
+  let w = Workload.find "Q7" in
+  let dp = Workload.distribute w (Workload.compile w) in
+  let node =
+    Node.create ~config:(Node.config ~workers:2 ~socket_dir:dir ()) dp
+  in
+  let pids = List.filter_map Fun.id (Node.worker_pids node) in
+  Fun.protect
+    ~finally:(fun () -> Node.shutdown node)
+    (fun () ->
+      let rel, batch = List.find (fun (r, _) -> r = "lineitem") stream in
+      ignore (Node.apply_batch node ~rel batch);
+      Unix.kill (List.hd pids) Sys.sigkill;
+      Unix.sleepf 0.1;
+      let t0 = Unix.gettimeofday () in
+      match Node.apply_batch node ~rel batch with
+      | exception Failure msg ->
+          let dt = Unix.gettimeofday () -. t0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "error names the dead worker: %s" msg)
+            true (contains msg "worker 0");
+          Alcotest.(check bool)
+            (Printf.sprintf "error carries the signal: %s" msg)
+            true (contains msg "signaled");
+          Alcotest.(check bool)
+            (Printf.sprintf "failure within 30 s (took %.1f s)" dt)
+            true (dt < 30.)
+      | _ -> Alcotest.fail "a batch succeeded with a dead worker");
+  List.iter
+    (fun pid ->
+      match Unix.kill pid 0 with
+      | () -> Alcotest.failf "worker process %d survived shutdown" pid
+      | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ())
+    pids;
+  let left = Sys.readdir dir in
+  Alcotest.(check (list string)) "no socket file left behind" []
+    (Array.to_list left);
+  Unix.rmdir dir
+
 let suites =
   [
     ( "node",
@@ -1050,5 +1453,12 @@ let suites =
           `Quick test_merged_trace_monotonic;
         Alcotest.test_case "worker death names the worker and signal" `Quick
           test_worker_death_report;
+        Alcotest.test_case "one round trip per stage on Q3+Q7+Q17" `Quick
+          test_round_trips_per_stage;
+        QCheck_alcotest.to_alcotest qcheck_combined_equiv;
+        Alcotest.test_case "commute rule keeps a dependent transfer in place"
+          `Quick test_commute_keeps_transfer_in_place;
+        Alcotest.test_case "worker death mid-mesh leaves nothing behind" `Quick
+          test_worker_death_mesh;
       ] );
   ]
